@@ -9,6 +9,7 @@ from .builders import (
     build_half_adder_increment,
     build_nor_gadget,
     build_qma,
+    decode,
 )
 from .circuits import (
     Circuit,
@@ -63,6 +64,7 @@ __all__ = [
     "cnot",
     "compare",
     "compute_layering",
+    "decode",
     "decompose",
     "depth_by_kind",
     "effective_reset_error",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .circuits import Circuit, Gate, cnot, reset, toffoli, x
 from .errors import DuplicateOperand, InvalidN, LengthMismatch
@@ -69,6 +70,19 @@ class BuiltAdder:
     @property
     def n(self) -> int:
         return self.layout.n
+
+    def encode(self, a: int, b: int) -> list[int]:
+        """Input bits: bit i of a on a_wires[i], of b on b_wires[i], rest 0."""
+        bits = [0] * self.circuit.width
+        for wires, value in ((self.layout.a_wires, a), (self.layout.b_wires, b)):
+            for i, wire in enumerate(wires):
+                bits[wire] = (value >> i) & 1
+        return bits
+
+
+def decode(bits: list[int], wires: Iterable[int]) -> int:
+    """The integer held on `wires`, least significant bit first."""
+    return sum(bits[w] << i for i, w in enumerate(wires))
 
 
 def _require_distinct(wires: list[int], what: str) -> None:

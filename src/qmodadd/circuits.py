@@ -115,10 +115,6 @@ def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
     return Circuit(circuit.width, circuit.gates + (gate,), circuit.label)
 
 
-def circuit_from(width: int, gates: Iterable[Gate], label: str = "") -> Circuit:
-    return Circuit(width, tuple(gates), label)
-
-
 @dataclass(frozen=True)
 class Layering:
     """ASAP schedule: layers of wire-disjoint gates, plus gate -> layer map."""
@@ -160,10 +156,8 @@ def _layer_gates(gates: Sequence[Gate]) -> Layering:
 
 def depth_by_kind(circuit: Circuit, kind: GateKind) -> int:
     """Depth of the subcircuit keeping only gates of `kind`."""
-    kept = [g for g in circuit.gates if g.kind is kind]
-    if not kept:
-        return 0
-    return _layer_gates(kept).depth
+    kept = (g for g in circuit.gates if g.kind is kind)
+    return _longest_path(circuit.width, kept, None)
 
 
 def path_depth(circuit: Circuit, kind: GateKind) -> int:
@@ -173,18 +167,22 @@ def path_depth(circuit: Circuit, kind: GateKind) -> int:
     gate to the next gate on each of its wires, so a gate of `kind` is
     never counted as running before a gate of another kind that it
     depends on.  This is the T-depth style count of Amy, Maslov, Mosca
-    and Roetteler (arXiv:1206.0758).  One pass over the gate list.
+    and Roetteler (arXiv:1206.0758).
     """
-    frontier = [0] * circuit.width  # wire -> count on longest path so far
-    for gate in circuit.gates:
-        wires = gate.operands
-        depth = max(map(frontier.__getitem__, wires)) + (gate.kind is kind)
-        for w in wires:
-            frontier[w] = depth
-    return max(frontier, default=0)
+    return _longest_path(circuit.width, circuit.gates, kind)
 
 
 def total_depth(circuit: Circuit) -> int:
-    if not circuit.gates:
-        return 0
-    return compute_layering(circuit).depth
+    """ASAP layer count of the whole circuit: its longest dependency path."""
+    return _longest_path(circuit.width, circuit.gates, None)
+
+
+def _longest_path(width: int, gates: Iterable[Gate], kind: GateKind | None) -> int:
+    """Most `kind` gates (any gates if kind is None) on one dependency path."""
+    frontier = [0] * width  # wire -> count on longest path so far
+    for gate in gates:
+        wires = gate.operands
+        depth = max(map(frontier.__getitem__, wires)) + (kind in (None, gate.kind))
+        for w in wires:
+            frontier[w] = depth
+    return max(frontier, default=0)

@@ -14,11 +14,11 @@ import os
 import sys
 
 from .analyzer import analyze, compare
-from .builders import AdderVariant, build_qma
+from .builders import AdderVariant, BuiltAdder, build_qma, decode
 from .errors import QmodaddError
 from .metrics import run_sweep
 from .oracle import mod_add_plus_one
-from .qasm import export_qasm, extract_variant, parse_qasm
+from .qasm import export_qasm, parse_qasm
 from .sim import DEFAULT_NOISE, NoiseModel, run_exact
 
 EXIT_OK = 0
@@ -86,13 +86,24 @@ def _load_config(path: str | None) -> dict:
         return {}
     values = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise QmodaddError(
+                    f"{path}: line {line_no}: expected key=value, got {line!r}"
+                )
             values[key.strip()] = value.strip()
     return values
+
+
+def _as_int(raw: str, name: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise QmodaddError(f"{name}={raw!r} is not an integer")
 
 
 def _default_seed(args) -> int:
@@ -100,10 +111,7 @@ def _default_seed(args) -> int:
         return args.seed
     env = os.environ.get("QMA_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise QmodaddError(f"QMA_SEED={env!r} is not an integer")
+        return _as_int(env, "QMA_SEED")
     return 0
 
 
@@ -279,14 +287,9 @@ def _check_adder(built) -> tuple | None:
     limit = 1 << layout.n
     for a in range(limit + 1):
         for b in range(limit + 1):
-            bits = [0] * built.circuit.width
-            for i, wire in enumerate(layout.a_wires):
-                bits[wire] = (a >> i) & 1
-            for i, wire in enumerate(layout.b_wires):
-                bits[wire] = (b >> i) & 1
-            out = run_exact(built.circuit, bits)
-            got_mod = sum(out[w] << i for i, w in enumerate(layout.mod_wires))
-            got_sum = sum(out[w] << i for i, w in enumerate(layout.sum_wires))
+            out = run_exact(built.circuit, built.encode(a, b))
+            got_mod = decode(out, layout.mod_wires)
+            got_sum = decode(out, layout.sum_wires)
             want = mod_add_plus_one(layout.n, a, b)
             if got_mod != want:
                 return a, b, want, got_mod
@@ -296,8 +299,6 @@ def _check_adder(built) -> tuple | None:
 
 
 def _verify_qasm(path: str) -> int:
-    from .builders import BuiltAdder
-
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -305,11 +306,10 @@ def _verify_qasm(path: str) -> int:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return EXIT_IO
     circuit, layout = parse_qasm(text)
-    variant = extract_variant(text)
-    if layout is None or variant is None:
+    if layout is None:
         print("error: file has no usable layout metadata", file=sys.stderr)
         return EXIT_USAGE
-    built = BuiltAdder(circuit, layout, variant)
+    built = BuiltAdder(circuit, layout, AdderVariant(circuit.label))
     failure = _check_adder(built)
     if failure:
         a, b, want, got = failure
@@ -394,9 +394,9 @@ def _merge_config(args) -> None:
     if not values:
         return
     if args.seed is None and "seed" in values:
-        args.seed = int(values["seed"])
+        args.seed = _as_int(values["seed"], "config seed")
     if args.shots is None and "shots" in values:
-        args.shots = int(values["shots"])
+        args.shots = _as_int(values["shots"], "config shots")
     noise_keys = [
         f"{key}={values[key]}"
         for key in ("x", "cnot", "toffoli", "idle", "delta", "gate")

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analyzer import ResourceReport, analyze, round2
-from .builders import AdderVariant, BuiltAdder, build_qma
+from .builders import AdderVariant, build_qma
 from .errors import EmptyInput, InvalidSMax
 from .oracle import mod_add, mod_add_plus_one
 from .sim import NoiseModel, most_frequent, run_noisy
@@ -80,15 +80,6 @@ class ErrorReport:
         return payload
 
 
-def _encode(built: BuiltAdder, a: int, b: int) -> list[int]:
-    bits = [0] * built.circuit.width
-    for i, wire in enumerate(built.layout.a_wires):
-        bits[wire] = (a >> i) & 1
-    for i, wire in enumerate(built.layout.b_wires):
-        bits[wire] = (b >> i) & 1
-    return bits
-
-
 def _input_seed(seed: int, index: int) -> int:
     # One deterministic substream per input, independent of sweep order.
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
@@ -136,7 +127,7 @@ def run_experiment(
                 ideal = mod_add_plus_one(n, a, b) if in_domain else None
             histogram = run_noisy(
                 built.circuit,
-                _encode(built, encoded_a, b),
+                built.encode(encoded_a, b),
                 noise,
                 shots,
                 _input_seed(seed, index),

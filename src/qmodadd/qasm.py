@@ -49,13 +49,8 @@ def export_qasm(built: BuiltAdder) -> str:
         "ancilla_wires": list(layout.ancilla_wires),
         "preserved_roles": sorted(layout.preserved_roles),
     }
-    lines = [
-        f"// layout: {json.dumps(meta, sort_keys=True)}",
-        "OPENQASM 3.0;",
-        f"qubit[{built.circuit.width}] q;",
-    ]
-    lines.extend(_gate_line(g) for g in built.circuit.gates)
-    return "\n".join(lines) + "\n"
+    comment = f"// layout: {json.dumps(meta, sort_keys=True)}\n"
+    return comment + export_circuit(built.circuit)
 
 
 def export_circuit(circuit: Circuit) -> str:
@@ -82,13 +77,15 @@ _QUBIT_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
+    The first layout comment is all or nothing: only a usable one (see
+    `_parse_layout`) yields the layout and sets the label to the variant.
+
     Raises QasmSyntaxError / SubsetViolation / WidthMismatch /
     DuplicateOperand with 1-based line positions.
     """
     if not isinstance(text, str):
         raise QasmSyntaxError("input is not text", 1, 1)
-    layout: RegisterLayout | None = None
-    label = ""
+    blob: str | None = None
     width: int | None = None
     saw_version = False
     gates: list[Gate] = []
@@ -99,11 +96,8 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
             continue
         if line.startswith("//"):
             match = _LAYOUT_RE.match(line)
-            if match and layout is None:
-                layout = _parse_layout(match.group(1), line_no)
-                variant = extract_variant(line)
-                if variant is not None:
-                    label = variant.value
+            if match and blob is None:
+                blob = match.group(1)
             continue
         if not saw_version:
             if not re.match(r"^OPENQASM\s+3(\.\d+)?\s*;\s*(?://.*)?$", line):
@@ -126,7 +120,11 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
         raise QasmSyntaxError("empty program: missing version line", 1, 1)
     if width is None:
         raise QasmSyntaxError("missing qubit declaration", 1, 1)
-    return Circuit(width, tuple(gates), label=label), layout
+    meta = None if blob is None else _parse_layout(blob, width)
+    if meta is None:
+        return Circuit(width, tuple(gates)), None
+    layout, variant = meta
+    return Circuit(width, tuple(gates), label=variant.value), layout
 
 
 def _parse_statement(line: str, line_no: int, width: int) -> Gate:
@@ -166,10 +164,12 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
     return Gate(kind, tuple(operands))
 
 
-def _parse_layout(blob: str, line_no: int) -> RegisterLayout | None:
+def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] | None:
+    """Layout and variant, or None unless the JSON decodes, names a known
+    variant, has n >= 1 and keeps every role's wires in [0, width)."""
     try:
         data = json.loads(blob)
-        return RegisterLayout(
+        layout = RegisterLayout(
             n=int(data["n"]),
             a_wires=tuple(data["a_wires"]),
             b_wires=tuple(data["b_wires"]),
@@ -178,18 +178,11 @@ def _parse_layout(blob: str, line_no: int) -> RegisterLayout | None:
             ancilla_wires=tuple(data.get("ancilla_wires", ())),
             preserved_roles=frozenset(data.get("preserved_roles", ())),
         )
-    except (KeyError, TypeError, ValueError):
+        variant = AdderVariant[data["variant"]]
+    except (KeyError, TypeError, ValueError, OverflowError):
         # Malformed metadata is not fatal; the program may still parse.
         return None
-
-
-def extract_variant(text: str) -> AdderVariant | None:
-    """Read the variant name out of the layout comment, if any."""
-    for raw in text.splitlines():
-        match = _LAYOUT_RE.match(raw.strip())
-        if match:
-            try:
-                return AdderVariant[json.loads(match.group(1))["variant"]]
-            except (KeyError, TypeError, ValueError):
-                return None
-    return None
+    wires = layout.a_wires + layout.b_wires + layout.sum_wires + layout.mod_wires
+    if layout.n < 1 or not all(isinstance(w, int) and 0 <= w < width for w in wires):
+        return None
+    return layout, variant

@@ -11,7 +11,7 @@ import math
 import random
 
 from qmodadd.analyzer import analyze, round2
-from qmodadd.builders import AdderVariant, build_qma
+from qmodadd.builders import AdderVariant, build_qma, decode
 from qmodadd.circuits import GateKind
 from qmodadd.cli import main
 from qmodadd.errors import QmodaddError
@@ -30,19 +30,6 @@ ALL = list(AdderVariant)
 ORDERING_SEEDS = (7, 8, 9, 10, 11)
 
 
-def _encode(built, a, b):
-    bits = [0] * built.circuit.width
-    for i, w in enumerate(built.layout.a_wires):
-        bits[w] = (a >> i) & 1
-    for i, w in enumerate(built.layout.b_wires):
-        bits[w] = (b >> i) & 1
-    return bits
-
-
-def _decode(bits, wires):
-    return sum(bits[w] << i for i, w in enumerate(wires))
-
-
 def test_criterion_1_functional_correctness():
     """Exact simulation equals the oracle on every valid input, n = 1..6."""
     mismatches = []
@@ -52,9 +39,9 @@ def test_criterion_1_functional_correctness():
             layout = built.layout
             for a in range((1 << n) + 1):
                 for b in range((1 << n) + 1):
-                    out = run_exact(built.circuit, _encode(built, a, b))
-                    mod = _decode(out, layout.mod_wires)
-                    total = _decode(out, layout.sum_wires)
+                    out = run_exact(built.circuit, built.encode(a, b))
+                    mod = decode(out, layout.mod_wires)
+                    total = decode(out, layout.sum_wires)
                     if mod != mod_add_plus_one(n, a, b) or total != a + b:
                         mismatches.append((variant.name, n, a, b, mod, total))
     assert not mismatches, mismatches[:10]
@@ -207,7 +194,7 @@ def test_criterion_7_reversibility():
             outputs = set()
             for a in range((1 << n) + 1):
                 for b in range((1 << n) + 1):
-                    outputs.add(tuple(run_exact(built.circuit, _encode(built, a, b))))
+                    outputs.add(tuple(run_exact(built.circuit, built.encode(a, b))))
             assert len(outputs) == ((1 << n) + 1) ** 2, (variant, n)
 
 

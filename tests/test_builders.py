@@ -6,6 +6,7 @@ from qmodadd.builders import (
     build_half_adder_increment,
     build_nor_gadget,
     build_qma,
+    decode,
 )
 from qmodadd.circuits import Circuit, GateKind
 from qmodadd.errors import DuplicateOperand, InvalidN, LengthMismatch
@@ -15,19 +16,6 @@ from qmodadd.sim import run_exact
 
 def _run(width, gates, bits):
     return run_exact(Circuit(width, tuple(gates)), list(bits))
-
-
-def _encode(built, a, b):
-    bits = [0] * built.circuit.width
-    for i, w in enumerate(built.layout.a_wires):
-        bits[w] = (a >> i) & 1
-    for i, w in enumerate(built.layout.b_wires):
-        bits[w] = (b >> i) & 1
-    return bits
-
-
-def _decode(bits, wires):
-    return sum(bits[w] << i for i, w in enumerate(wires))
 
 
 class TestNorGadget:
@@ -55,11 +43,11 @@ class TestFullAdder:
         w = 5
         gates = build_full_adder(list(range(w)), list(range(w, 2 * w)), 2 * w)
         out = _run(2 * w + 1, gates, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0])
-        assert _decode(out, range(w)) == 2           # 1 + 1
-        assert _decode(out, range(w, 2 * w)) == 1    # b restored
+        assert decode(out, range(w)) == 2           # 1 + 1
+        assert decode(out, range(w, 2 * w)) == 1    # b restored
         assert out[2 * w] == 0
         out = _run(2 * w + 1, gates, [0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0])
-        assert _decode(out, range(w)) == 0           # 16 + 16 wraps
+        assert decode(out, range(w)) == 0           # 16 + 16 wraps
         assert out[2 * w] == 1
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
@@ -72,8 +60,8 @@ class TestFullAdder:
                 bits += [0]
                 out = _run(2 * w + 1, gates, bits)
                 total = a + b
-                assert _decode(out, range(w)) == total % (1 << w)
-                assert _decode(out, range(w, 2 * w)) == b
+                assert decode(out, range(w)) == total % (1 << w)
+                assert decode(out, range(w, 2 * w)) == b
                 assert out[2 * w] == total >> w
 
     @pytest.mark.parametrize("w", [2, 3, 5, 8])
@@ -98,11 +86,11 @@ class TestHalfAdderIncrement:
         gates = build_half_adder_increment(v, w, list(range(w + 1, 2 * w)))
         bits = [(12 >> i) & 1 for i in range(w)] + [1] + [0] * (w - 1)
         out = _run(2 * w, gates, bits)
-        assert _decode(out, [w] + list(range(w + 1, 2 * w))) == 13
-        assert _decode(out, v) == 12  # value register read-only
+        assert decode(out, [w] + list(range(w + 1, 2 * w))) == 13
+        assert decode(out, v) == 12  # value register read-only
         bits = [(7 >> i) & 1 for i in range(w)] + [0] + [0] * (w - 1)
         out = _run(2 * w, gates, bits)
-        assert _decode(out, [w] + list(range(w + 1, 2 * w))) == 7
+        assert decode(out, [w] + list(range(w + 1, 2 * w))) == 7
 
     def test_exhaustive_w4(self):
         w = 4
@@ -113,9 +101,9 @@ class TestHalfAdderIncrement:
             for c in (0, 1):
                 bits = [(value >> i) & 1 for i in range(w)] + [c] + [0] * (w - 1)
                 out = _run(2 * w, gates, bits)
-                got = _decode(out, [w] + list(range(w + 1, 2 * w)))
+                got = decode(out, [w] + list(range(w + 1, 2 * w)))
                 assert got == (value + c) % (1 << w)
-                assert _decode(out, range(w)) == value
+                assert decode(out, range(w)) == value
 
     def test_counts_and_validation(self):
         w = 6
@@ -134,6 +122,16 @@ class TestBuildQma:
         with pytest.raises(InvalidN):
             build_qma(AdderVariant.QMA1, 0)
 
+    def test_register_codec_convention(self):
+        built = build_qma(AdderVariant.QMA2, 4)
+        layout = built.layout
+        bits = built.encode(5, 7)
+        ones = {layout.a_wires[0], layout.a_wires[2], *layout.b_wires[:3]}
+        assert {w for w, bit in enumerate(bits) if bit} == ones
+        assert len(bits) == built.circuit.width
+        assert decode(bits, layout.a_wires) == 5
+        assert decode(bits, layout.b_wires) == 7
+
     @pytest.mark.parametrize("variant", list(AdderVariant))
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_oracle_exhaustively(self, variant, n):
@@ -141,11 +139,11 @@ class TestBuildQma:
         layout = built.layout
         for a in range((1 << n) + 1):
             for b in range((1 << n) + 1):
-                out = run_exact(built.circuit, _encode(built, a, b))
-                assert _decode(out, layout.mod_wires) == mod_add_plus_one(n, a, b)
-                assert _decode(out, layout.sum_wires) == a + b
+                out = run_exact(built.circuit, built.encode(a, b))
+                assert decode(out, layout.mod_wires) == mod_add_plus_one(n, a, b)
+                assert decode(out, layout.sum_wires) == a + b
                 if "b" in layout.preserved_roles:
-                    assert _decode(out, layout.b_wires) == b
+                    assert decode(out, layout.b_wires) == b
 
     def test_static_variants_are_reset_free(self):
         for variant in (AdderVariant.QMA1, AdderVariant.QMA2):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qmodadd.builders import AdderVariant, build_qma
 from qmodadd.cli import main
 from qmodadd.qasm import export_qasm
@@ -147,6 +149,30 @@ def test_experiment_config_file(tmp_path, capsys):
     assert payload["rows"][0]["nmed_float"] == 0.0
 
 
+@pytest.mark.parametrize("line", ["seed=abc", "shots=x"])
+def test_experiment_config_non_integer_is_usage_error(tmp_path, capsys, line):
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n")
+    code, stdout, stderr = run_cli(
+        capsys, "experiment", "qma1", "--n", "1", "--config", str(config),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: config ") and "is not an integer" in stderr
+
+
+def test_experiment_config_line_without_equals_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("# sweep defaults\nseed 55\n")
+    code, stdout, stderr = run_cli(
+        capsys, "experiment", "qma1", "--n", "1", "--shots", "2",
+        "--config", str(config),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "line 2" in stderr and "'seed 55'" in stderr
+
+
 def test_verify_all_small(capsys):
     code, stdout, _ = run_cli(capsys, "verify", "--all", "--n", "1..2")
     assert code == 0
@@ -166,3 +192,14 @@ def test_verify_catches_corrupted_circuit(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "verify", "--qasm", str(bad), "--n", "2..2")
     assert code == 4
     assert "FAIL" in stdout and "expected" in stdout
+
+
+@pytest.mark.parametrize("wires", ["[0, 99]", "[0, -1]"])
+def test_verify_rejects_layout_wires_outside_register(tmp_path, capsys, wires):
+    text = export_qasm(build_qma(AdderVariant.QMA2, 1))
+    bad = tmp_path / "bad.qasm"
+    bad.write_text(text.replace('"a_wires": [0, 1]', f'"a_wires": {wires}'))
+    code, stdout, stderr = run_cli(capsys, "verify", "--qasm", str(bad), "--n", "1..1")
+    assert code == 2
+    assert stdout == ""
+    assert "no usable layout metadata" in stderr

@@ -13,7 +13,7 @@ from qmodadd.errors import (
     SubsetViolation,
     WidthMismatch,
 )
-from qmodadd.qasm import export_circuit, export_qasm, extract_variant, parse_qasm
+from qmodadd.qasm import export_circuit, export_qasm, parse_qasm
 
 
 def test_single_gate_export():
@@ -41,7 +41,7 @@ def test_round_trip_with_layout():
     assert circuit.width == built.circuit.width
     assert circuit.gates == built.circuit.gates
     assert layout == built.layout
-    assert extract_variant(text) is AdderVariant.QMA2
+    assert circuit.label == "qma2"
 
 
 def test_parse_without_metadata():
@@ -85,6 +85,25 @@ def test_width_mismatch():
 def test_syntax_errors(source):
     with pytest.raises(QasmSyntaxError):
         parse_qasm(source)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"variant": "QMA2"', '"variant": "QMA9"'),
+        ('"a_wires": [0, 1]', '"a_wires": [0, 99]'),
+        ('"a_wires": [0, 1]', '"a_wires": [0, -1]'),
+        ('"n": 1', '"n": 0'),
+        ('"n": 1', '"n": Infinity'),
+    ],
+)
+def test_unusable_layout_parses_as_no_layout(old, new):
+    text = export_qasm(build_qma(AdderVariant.QMA2, 1))
+    assert old in text
+    circuit, layout = parse_qasm(text.replace(old, new))
+    assert layout is None
+    assert circuit.label == ""
+    assert circuit.gates == build_qma(AdderVariant.QMA2, 1).circuit.gates
 
 
 def test_malformed_layout_comment_is_not_fatal():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qmodadd.builders import AdderVariant, build_qma
+from qmodadd.builders import AdderVariant, build_qma, decode
 from qmodadd.circuits import Circuit, cnot, reset, toffoli, x
 from qmodadd.errors import InvalidProbability, InvalidShots, LengthMismatch
 from qmodadd.sim import (
@@ -32,13 +32,8 @@ def test_run_exact_length_check():
 
 def test_run_exact_reads_adder_output():
     built = build_qma(AdderVariant.QMA2, 4)
-    bits = [0] * built.circuit.width
-    for i, w in enumerate(built.layout.a_wires):
-        bits[w] = (5 >> i) & 1
-    for i, w in enumerate(built.layout.b_wires):
-        bits[w] = (7 >> i) & 1
-    out = run_exact(built.circuit, bits)
-    mod = sum(out[w] << i for i, w in enumerate(built.layout.mod_wires))
+    out = run_exact(built.circuit, built.encode(5, 7))
+    mod = decode(out, built.layout.mod_wires)
     assert mod == 13  # (5 + 7 + 1) mod 17
 
 
@@ -75,7 +70,7 @@ def test_noiseless_monte_carlo_degenerates_to_exact():
     bits[built.layout.a_wires[0]] = 1
     hist = run_noisy(built.circuit, bits, ZERO, shots=100, seed=1)
     exact = run_exact(built.circuit, bits)
-    value = sum(bit << i for i, bit in enumerate(exact))
+    value = decode(exact, range(len(exact)))
     assert hist.counts == {value: 100}
 
 
@@ -169,13 +164,8 @@ def test_exact_simulation_scales_to_wide_adders():
     for _ in range(500):
         a = rng.randrange((1 << n) + 1)
         b = rng.randrange((1 << n) + 1)
-        bits = [0] * built.circuit.width
-        for i, w in enumerate(built.layout.a_wires):
-            bits[w] = (a >> i) & 1
-        for i, w in enumerate(built.layout.b_wires):
-            bits[w] = (b >> i) & 1
-        out = run_exact(built.circuit, bits)
-        mod = sum(out[w] << i for i, w in enumerate(built.layout.mod_wires))
+        out = run_exact(built.circuit, built.encode(a, b))
+        mod = decode(out, built.layout.mod_wires)
         assert mod == (a + b + 1) % ((1 << n) + 1)
     assert time.monotonic() - start < 60
 
