@@ -72,7 +72,8 @@ class BuiltAdder:
         return self.layout.n
 
     def encode(self, a: int, b: int) -> list[int]:
-        """Input bits: bit i of a on a_wires[i], of b on b_wires[i], rest 0."""
+        """Input bits: bit i of a on a_wires[i], of b on b_wires[i], rest 0.
+        Integer arrays a and b give one lane per input on their wires."""
         bits = [0] * self.circuit.width
         for wires, value in ((self.layout.a_wires, a), (self.layout.b_wires, b)):
             for i, wire in enumerate(wires):
@@ -81,7 +82,8 @@ class BuiltAdder:
 
 
 def decode(bits: list[int], wires: Iterable[int]) -> int:
-    """The integer held on `wires`, least significant bit first."""
+    """The integer held on `wires`, least significant bit first.
+    Broadcasts over lanes of an integer type wide enough for the shifts."""
     return sum(bits[w] << i for i, w in enumerate(wires))
 
 

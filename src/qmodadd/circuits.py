@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ArityMismatch, DuplicateOperand, OperandOutOfRange
 
@@ -133,14 +133,10 @@ def compute_layering(circuit: Circuit) -> Layering:
     Each gate goes to the earliest layer strictly after every earlier
     gate that shares one of its wires.  Deterministic in the gate order.
     """
-    return _layer_gates(circuit.gates)
-
-
-def _layer_gates(gates: Sequence[Gate]) -> Layering:
     frontier: dict[int, int] = {}  # wire -> first layer free for use
     assignment: list[int] = []
     layers: list[list[int]] = []
-    for index, gate in enumerate(gates):
+    for index, gate in enumerate(circuit.gates):
         layer = max((frontier.get(w, 0) for w in gate.operands), default=0)
         for w in gate.operands:
             frontier[w] = layer + 1

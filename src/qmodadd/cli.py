@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .analyzer import analyze, compare
 from .builders import AdderVariant, BuiltAdder, build_qma, decode
 from .errors import QmodaddError
@@ -28,6 +30,9 @@ EXIT_ORDERING = 3
 EXIT_VERIFY = 4
 
 SCHEMA_VERSION = 1
+
+#: Inputs per `run_exact` call in `verify`; more lanes cost peak memory.
+_VERIFY_LANES = 1024
 
 
 def _variant(token: str) -> AdderVariant:
@@ -283,18 +288,22 @@ def cmd_verify(args) -> int:
 
 
 def _check_adder(built) -> tuple | None:
+    """First failing (a, b, want, got) in a-major order, or None."""
     layout = built.layout
-    limit = 1 << layout.n
-    for a in range(limit + 1):
-        for b in range(limit + 1):
-            out = run_exact(built.circuit, built.encode(a, b))
-            got_mod = decode(out, layout.mod_wires)
-            got_sum = decode(out, layout.sum_wires)
-            want = mod_add_plus_one(layout.n, a, b)
+    side = (1 << layout.n) + 1
+    pairs = side * side
+    for start in range(0, pairs, _VERIFY_LANES):
+        a, b = np.divmod(np.arange(start, min(start + _VERIFY_LANES, pairs)), side)
+        out = run_exact(built.circuit, built.encode(a, b))
+        # A wire no gate writes is still the int 0: broadcast it to the lanes.
+        mods = np.broadcast_to(decode(out, layout.mod_wires), a.shape).tolist()
+        sums = np.broadcast_to(decode(out, layout.sum_wires), a.shape).tolist()
+        for x, y, got_mod, got_sum in zip(a.tolist(), b.tolist(), mods, sums):
+            want = mod_add_plus_one(layout.n, x, y)
             if got_mod != want:
-                return a, b, want, got_mod
-            if got_sum != a + b:
-                return a, b, a + b, got_sum
+                return x, y, want, got_mod
+            if got_sum != x + y:
+                return x, y, x + y, got_sum
     return None
 
 

@@ -166,7 +166,8 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
 
 def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] | None:
     """Layout and variant, or None unless the JSON decodes, names a known
-    variant, has n >= 1 and keeps every role's wires in [0, width)."""
+    variant, has n >= 1, n + 1 wires for a, b and mod, at least n + 2 for
+    sum, and keeps every role's wires in [0, width)."""
     try:
         data = json.loads(blob)
         layout = RegisterLayout(
@@ -183,6 +184,10 @@ def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] 
         # Malformed metadata is not fatal; the program may still parse.
         return None
     wires = layout.a_wires + layout.b_wires + layout.sum_wires + layout.mod_wires
-    if layout.n < 1 or not all(isinstance(w, int) and 0 <= w < width for w in wires):
+    n = layout.n
+    sizes = (len(layout.a_wires), len(layout.b_wires), len(layout.mod_wires))
+    if n < 1 or sizes != (n + 1,) * 3 or len(layout.sum_wires) < n + 2:
+        return None
+    if not all(isinstance(w, int) and 0 <= w < width for w in wires):
         return None
     return layout, variant

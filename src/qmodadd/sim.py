@@ -5,6 +5,10 @@ simulation is classical bit pushing.  The noisy simulator is a Monte
 Carlo bit-flip model: independent flips after gates, idle flips per
 layer, and an error channel for |0> resets.  Phase noise is invisible to
 basis-state readout, so bit flips are the whole observable story.
+
+Both apply gates through one kernel, `_apply`, to a state indexed by
+wire; a wire holds an int or an integer array with one lane per input
+(`run_exact`) or per shot (`run_noisy`, on a schedule compiled once).
 """
 from __future__ import annotations
 
@@ -13,30 +17,37 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, _layer_gates
+from .circuits import Circuit, Gate, GateKind, compute_layering
 from .errors import InvalidProbability, InvalidShots, LengthMismatch
 
 
-def run_exact(circuit: Circuit, bits: list[int]) -> list[int]:
-    """Apply the gate sequence to one basis state; returns a new list."""
+def run_exact(circuit: Circuit, bits: list) -> list:
+    """Apply the gate sequence to a basis state; returns a new list.
+    Each wire is an int or an integer array with one lane per input."""
     if len(bits) != circuit.width:
         raise LengthMismatch(
             f"state length {len(bits)} != circuit width {circuit.width}"
         )
     state = list(bits)
     for gate in circuit.gates:
-        kind = gate.kind
-        if kind is GateKind.X:
-            state[gate.operands[0]] ^= 1
-        elif kind is GateKind.CNOT:
-            control, target = gate.operands
-            state[target] ^= state[control]
-        elif kind is GateKind.TOFFOLI:
-            c1, c2, target = gate.operands
-            state[target] ^= state[c1] & state[c2]
-        else:  # RESET
-            state[gate.operands[0]] = 0
+        _apply(state, gate)
     return state
+
+
+def _apply(state, gate: Gate) -> None:
+    """Apply one gate.  Updates replace the target row, never `^=` it, so
+    ints, lane arrays and wire-major rows all work and no caller row
+    is written through."""
+    kind, ops = gate.kind, gate.operands
+    target = ops[-1]
+    if kind is GateKind.X:
+        state[target] = state[target] ^ 1
+    elif kind is GateKind.CNOT:
+        state[target] = state[target] ^ state[ops[0]]
+    elif kind is GateKind.TOFFOLI:
+        state[target] = state[target] ^ (state[ops[0]] & state[ops[1]])
+    else:  # RESET
+        state[target] = 0
 
 
 @dataclass(frozen=True)
@@ -60,15 +71,6 @@ class NoiseModel:
             value = getattr(self, name)
             if not 0.0 <= value < 0.5:
                 raise InvalidProbability(f"{name}={value} outside [0, 0.5)")
-
-    def gate_probability(self, kind: GateKind) -> float:
-        if kind is GateKind.X:
-            return self.p_x
-        if kind is GateKind.CNOT:
-            return self.p_cnot
-        if kind is GateKind.TOFFOLI:
-            return self.p_toffoli
-        return 0.0
 
 
 #: Frozen defaults for the experiment harness and the CLI.  Majority
@@ -130,30 +132,33 @@ def most_frequent(histogram: ShotHistogram) -> int:
     return best
 
 
-def _collapse_resets(circuit: Circuit) -> tuple[tuple[Gate, ...], dict[int, int]]:
-    """Merge maximal runs of same-wire consecutive resets.
-
-    Returns the effective gate tuple and a map from the index of each
-    surviving reset (in the effective tuple) to its run length.  A run is
-    consecutive when no other gate touches that wire in between.
-    """
-    effective: list[Gate] = []
-    run_lengths: dict[int, int] = {}
-    open_runs: dict[int, int] = {}  # wire -> index in `effective`
+@lru_cache(maxsize=64)
+def _schedule(circuit: Circuit, reset_model: str):
+    """ASAP layers of `(steps, idle wires)`; a step is `(gate, run)`.
+    Under "purify" a run of same-wire resets, no other gate on that wire
+    in between, is one step with its length; else every run is 1."""
+    steps: list[tuple[Gate, int]] = []
+    open_runs: dict[int, int] = {}  # wire -> index of its reset run in `steps`
     for gate in circuit.gates:
-        if gate.kind is GateKind.RESET:
+        if reset_model == "purify" and gate.kind is GateKind.RESET:
             wire = gate.operands[0]
             if wire in open_runs:
-                run_lengths[open_runs[wire]] += 1
+                start = open_runs[wire]
+                steps[start] = (gate, steps[start][1] + 1)
                 continue
-            open_runs[wire] = len(effective)
-            run_lengths[len(effective)] = 1
-            effective.append(gate)
+            open_runs[wire] = len(steps)
         else:
             for wire in gate.operands:
                 open_runs.pop(wire, None)
-            effective.append(gate)
-    return tuple(effective), run_lengths
+        steps.append((gate, 1))
+    effective = Circuit(circuit.width, tuple(gate for gate, _ in steps))
+    layers = []
+    for layer in compute_layering(effective).layers:
+        busy = {wire for index in layer for wire in steps[index][0].operands}
+        idle = np.flatnonzero([wire not in busy for wire in range(circuit.width)])
+        idle.flags.writeable = False  # the cache hands it to every call
+        layers.append((tuple(steps[index] for index in layer), idle))
+    return tuple(layers)
 
 
 def run_noisy(
@@ -188,56 +193,36 @@ def run_noisy(
         if not 0 <= wire < circuit.width:
             raise LengthMismatch(f"readout wire {wire} outside circuit")
 
-    if reset_model == "purify":
-        gates, run_lengths = _collapse_resets(circuit)
-    else:
-        gates, run_lengths = circuit.gates, {}
-    layering = _layer_gates_cached(gates)
-
+    p_gate = {
+        GateKind.X: noise.p_x,
+        GateKind.CNOT: noise.p_cnot,
+        GateKind.TOFFOLI: noise.p_toffoli,
+    }
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    width = circuit.width
-    state = np.tile(np.asarray(bits, dtype=np.uint8), (shots, 1))
-
-    for layer in layering:
-        busy = np.zeros(width, dtype=bool)
-        for gate_index in layer:
-            gate = gates[gate_index]
-            ops = gate.operands
-            busy[list(ops)] = True
-            kind = gate.kind
-            if kind is GateKind.X:
-                state[:, ops[0]] ^= 1
-            elif kind is GateKind.CNOT:
-                state[:, ops[1]] ^= state[:, ops[0]]
-            elif kind is GateKind.TOFFOLI:
-                state[:, ops[2]] ^= state[:, ops[0]] & state[:, ops[1]]
-            else:  # RESET (possibly a collapsed run)
-                k = run_lengths.get(gate_index, 1)
-                p_bad = (
-                    effective_reset_error(noise.delta_reset, k)
+    # Row w holds wire w across the shots.  Draws keep the shot-major
+    # shape (shots, k), transposed onto the rows, to keep the stream.
+    state = np.repeat(np.asarray(bits, dtype=np.uint8)[:, None], shots, axis=1)
+    for steps, idle in _schedule(circuit, reset_model):
+        for gate, run in steps:
+            _apply(state, gate)
+            if gate.kind is GateKind.RESET:
+                # A reset draws even when its error is 0.
+                p = (
+                    effective_reset_error(noise.delta_reset, run)
                     if reset_model == "purify"
                     else noise.delta_reset
                 )
-                state[:, ops[0]] = (rng.random(shots) < p_bad).astype(np.uint8)
-                continue
-            p = noise.gate_probability(kind)
-            if p > 0.0:
-                flips = rng.random((shots, len(ops))) < p
-                for j, wire in enumerate(ops):
-                    state[:, wire] ^= flips[:, j].astype(np.uint8)
-        if noise.p_idle > 0.0:
-            idle = np.flatnonzero(~busy)
-            if idle.size:
-                flips = rng.random((shots, idle.size)) < noise.p_idle
-                state[:, idle] ^= flips.astype(np.uint8)
+            else:
+                p = p_gate[gate.kind]
+                if p == 0.0:
+                    continue
+            ops = list(gate.operands)
+            state[ops] ^= (rng.random((shots, len(ops))) < p).T
+        if noise.p_idle > 0.0 and idle.size:
+            state[idle] ^= (rng.random((shots, idle.size)) < noise.p_idle).T
 
     weights = 1 << np.arange(len(readout), dtype=np.uint64)
-    values = state[:, readout].astype(np.uint64) @ weights
+    values = weights @ state[readout].astype(np.uint64)
     uniques, tallies = np.unique(values, return_counts=True)
     counts = {int(v): int(c) for v, c in zip(uniques, tallies)}
     return ShotHistogram(counts=counts, shots=shots, seed=seed, readout=tuple(readout))
-
-
-@lru_cache(maxsize=64)
-def _layer_gates_cached(gates: tuple[Gate, ...]):
-    return _layer_gates(gates).layers

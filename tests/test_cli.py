@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from qmodadd.builders import AdderVariant, build_qma
+from qmodadd import cli
+from qmodadd.builders import AdderVariant, BuiltAdder, build_qma, decode
 from qmodadd.cli import main
-from qmodadd.qasm import export_qasm
+from qmodadd.oracle import mod_add_plus_one
+from qmodadd.qasm import export_qasm, parse_qasm
+from qmodadd.sim import run_exact
 
 
 def run_cli(capsys, *argv):
@@ -203,3 +206,74 @@ def test_verify_rejects_layout_wires_outside_register(tmp_path, capsys, wires):
     assert code == 2
     assert stdout == ""
     assert "no usable layout metadata" in stderr
+
+
+def test_verify_rejects_layout_n_that_disagrees_with_registers(tmp_path, capsys):
+    # Read with n = 2, the correct n = 1 circuit would fail the n = 2 oracle.
+    text = export_qasm(build_qma(AdderVariant.QMA2, 1))
+    bad = tmp_path / "bad.qasm"
+    bad.write_text(text.replace('"n": 1', '"n": 2'))
+    code, stdout, stderr = run_cli(capsys, "verify", "--qasm", str(bad), "--n", "1..1")
+    assert code == 2
+    assert stdout == ""
+    assert "no usable layout metadata" in stderr
+
+
+def test_verify_in_small_chunks_prints_the_same(capsys, monkeypatch):
+    argv = ("verify", "--all", "--n", "1..3")
+    default = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_VERIFY_LANES", 7)
+    assert run_cli(capsys, *argv) == default
+    assert default[0] == 0
+
+
+def _without_gate(text: str, index: int) -> str:
+    lines = text.splitlines()
+    decl = next(i for i, line in enumerate(lines) if line.startswith("qubit["))
+    del lines[decl + 1 + index]
+    return "\n".join(lines) + "\n"
+
+
+def _first_failure(built) -> tuple | None:
+    """Reference: one run_exact call per pair, in a-major order."""
+    side = (1 << built.n) + 1
+    for a in range(side):
+        for b in range(side):
+            out = run_exact(built.circuit, built.encode(a, b))
+            if decode(out, built.layout.mod_wires) != mod_add_plus_one(built.n, a, b):
+                return a, b
+            if decode(out, built.layout.sum_wires) != a + b:
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_verify_chunks_report_the_first_failure_in_a_major_order(
+    tmp_path, capsys, monkeypatch, variant
+):
+    monkeypatch.setattr(cli, "_VERIFY_LANES", 7)
+    built = build_qma(variant, 2)
+    bad = tmp_path / "bad.qasm"
+    for index in range(0, len(built.circuit.gates), 5):
+        text = _without_gate(export_qasm(built), index)
+        bad.write_text(text)
+        code, stdout, _ = run_cli(capsys, "verify", "--qasm", str(bad), "--n", "2..2")
+        circuit, layout = parse_qasm(text)
+        first = _first_failure(BuiltAdder(circuit, layout, variant))
+        if first is None:
+            assert (code, stdout) == (0, f"ok {bad} (25 inputs)\n")
+        else:
+            assert code == 4
+            assert stdout.startswith(f"FAIL {bad} a={first[0]} b={first[1]}: ")
+
+
+def test_verify_gateless_qasm_fails_at_the_first_pair(tmp_path, capsys):
+    # No gate writes the QMA2 mod wires, so they read as the int 0.
+    text = export_qasm(build_qma(AdderVariant.QMA2, 2))
+    header = [line for line in text.splitlines() if not line.endswith("];")]
+    bad = tmp_path / "empty.qasm"
+    bad.write_text("\n".join(header) + "\n")
+    code, stdout, stderr = run_cli(capsys, "verify", "--qasm", str(bad), "--n", "2..2")
+    assert code == 4
+    assert stdout == f"FAIL {bad} a=0 b=0: expected 1, got 0\n"
+    assert stderr == ""

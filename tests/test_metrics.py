@@ -6,7 +6,7 @@ import pytest
 from qmodadd.builders import AdderVariant
 from qmodadd.errors import EmptyInput, InvalidSMax
 from qmodadd.metrics import aggregate, error_distance, run_experiment, run_sweep
-from qmodadd.sim import NoiseModel
+from qmodadd.sim import DEFAULT_NOISE, NoiseModel
 
 ZERO = NoiseModel()
 DELTA_ONLY = NoiseModel(delta_reset=0.2)
@@ -133,3 +133,24 @@ def test_nmed_converges_with_more_shots():
     ]
     assert nmeds[0] > nmeds[1] > nmeds[2]
     assert abs(nmeds[1] - nmeds[2]) < 0.05
+
+
+@pytest.mark.parametrize(
+    "noise, expected",
+    [
+        (DEFAULT_NOISE, {"QMA1": "7/50", "QMA2": "1/20", "QMA3": "0", "QMA4": "0"}),
+        # Error-free resets still draw, which keeps every later draw in place.
+        (
+            NoiseModel(p_idle=0.1),
+            {"QMA1": "51/100", "QMA2": "31/50", "QMA3": "16/25", "QMA4": "16/25"},
+        ),
+    ],
+)
+def test_random_stream_is_pinned(noise, expected):
+    # A change to these values is a change of the random stream, to be
+    # made and recorded on purpose.
+    nmeds = {
+        variant.name: str(run_experiment(variant, 2, noise, 64, 3).nmed)
+        for variant in AdderVariant
+    }
+    assert nmeds == expected

@@ -95,6 +95,10 @@ def test_syntax_errors(source):
         ('"a_wires": [0, 1]', '"a_wires": [0, -1]'),
         ('"n": 1', '"n": 0'),
         ('"n": 1', '"n": Infinity'),
+        ('"n": 1', '"n": 2'),
+        ('"a_wires": [0, 1]', '"a_wires": [0]'),
+        ('"mod_wires": [5, 6]', '"mod_wires": [5, 6, 4]'),
+        ('"sum_wires": [0, 1, 4]', '"sum_wires": [0, 1]'),
     ],
 )
 def test_unusable_layout_parses_as_no_layout(old, new):

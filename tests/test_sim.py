@@ -1,6 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from test_circuits import reset_free_circuits
 
 from qmodadd.builders import AdderVariant, build_qma, decode
 from qmodadd.circuits import Circuit, cnot, reset, toffoli, x
@@ -35,6 +39,33 @@ def test_run_exact_reads_adder_output():
     out = run_exact(built.circuit, built.encode(5, 7))
     mod = decode(out, built.layout.mod_wires)
     assert mod == 13  # (5 + 7 + 1) mod 17
+
+
+@pytest.mark.parametrize("variant", [AdderVariant.QMA3, AdderVariant.QMA4])
+def test_run_exact_lanes_match_single_inputs(variant):
+    # The dynamic adders reset wires, which writes the int 0 into lanes.
+    built = build_qma(variant, 2)
+    a, b = np.divmod(np.arange(25), 5)
+    bits = built.encode(a, b)
+    kept = [np.copy(row) for row in bits]
+    lanes = run_exact(built.circuit, bits)
+    for i in range(25):
+        single = run_exact(built.circuit, built.encode(int(a[i]), int(b[i])))
+        assert [int(np.broadcast_to(row, a.shape)[i]) for row in lanes] == single
+    assert all(np.array_equal(row, before) for row, before in zip(bits, kept))
+
+
+@given(reset_free_circuits())
+@settings(max_examples=60, deadline=None)
+def test_run_exact_lanes_match_single_inputs_on_random_circuits(circuit):
+    values = np.arange(1 << circuit.width)
+    bits = [(values >> i) & 1 for i in range(circuit.width)]
+    kept = [np.copy(row) for row in bits]
+    lanes = run_exact(circuit, bits)
+    for value in values.tolist():
+        single = run_exact(circuit, [(value >> i) & 1 for i in range(circuit.width)])
+        assert [int(row[value]) for row in lanes] == single
+    assert all(np.array_equal(row, before) for row, before in zip(bits, kept))
 
 
 class TestEffectiveResetError:
