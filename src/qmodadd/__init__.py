@@ -33,12 +33,12 @@ from .sim import (
     NoiseModel,
     ShotHistogram,
     effective_reset_error,
-    most_frequent,
+    noisy_modes,
     run_exact,
     run_noisy,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AdderVariant",
@@ -73,7 +73,7 @@ __all__ = [
     "export_qasm",
     "mod_add",
     "mod_add_plus_one",
-    "most_frequent",
+    "noisy_modes",
     "parse_qasm",
     "reset",
     "run_exact",

@@ -15,13 +15,14 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .analyzer import analyze, compare
 from .builders import AdderVariant, BuiltAdder, build_qma, decode
 from .errors import QmodaddError
 from .metrics import run_sweep
 from .oracle import mod_add_plus_one
 from .qasm import export_qasm, parse_qasm
-from .sim import DEFAULT_NOISE, NoiseModel, run_exact
+from .sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, NoiseModel, run_exact
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -156,6 +157,7 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         payload = {
             "schema": SCHEMA_VERSION,
+            "meta": {"version": __version__, "engine": ENGINE, "rng": RNG_SCHEME},
             "n": args.n,
             "reports": [r.as_dict() for r in reports],
             "reduction_pct_vs_first": [
@@ -231,6 +233,7 @@ def cmd_experiment(args) -> int:
     else:
         payload = {
             "schema": SCHEMA_VERSION,
+            "meta": {"version": __version__, "engine": ENGINE, "rng": RNG_SCHEME},
             "n": args.n,
             "shots": args.shots,
             "seed": seed,

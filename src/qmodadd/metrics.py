@@ -1,9 +1,10 @@
 """Error-distance metrics and the input-sweep experiment harness.
 
 An experiment builds one adder, runs every valid operand pair through
-the noisy simulator, takes the most frequent readout per input, and
-aggregates the error distances.  All aggregation is exact rational
-arithmetic; floats only appear at serialization time.
+the noisy simulator in one batched call, takes the most frequent
+readout per input, and aggregates the error distances.  All
+aggregation is exact rational arithmetic; floats only appear at
+serialization time.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .analyzer import ResourceReport, analyze, round2
 from .builders import AdderVariant, build_qma
 from .errors import EmptyInput, InvalidSMax
 from .oracle import mod_add, mod_add_plus_one
-from .sim import NoiseModel, most_frequent, run_noisy
+from .sim import NoiseModel, noisy_modes
 
 
 def error_distance(ideal: int, observed: int) -> int:
@@ -80,11 +81,6 @@ class ErrorReport:
         return payload
 
 
-def _input_seed(seed: int, index: int) -> int:
-    # One deterministic substream per input, independent of sweep order.
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 def run_experiment(
     variant: AdderVariant,
     n: int,
@@ -107,43 +103,42 @@ def run_experiment(
     built = build_qma(variant, n)
     limit = 1 << n
     span = 2 * limit if full_basis else limit + 1
+    a, b = np.divmod(np.arange(span * span), span)
+    in_domain = (a <= limit) & (b <= limit)
+    pre_decrement = ideal_convention == "pre-decrement"
+    encoded_a = np.where(in_domain & pre_decrement, (a + limit) % (limit + 1), a)
+    mod_wires = list(built.layout.mod_wires)
+    sum_wires = list(built.layout.sum_wires)
+    winners = noisy_modes(
+        built.circuit,
+        built.encode(encoded_a, b),
+        noise,
+        shots,
+        seed,
+        readout=mod_wires + (sum_wires if score_sum else []),
+        reset_model=reset_model,
+    )
 
     rows: list[InputResult] = []
     eds: list[int] = []
     sum_eds: list[int] = []
-    mod_wires = list(built.layout.mod_wires)
-    sum_wires = list(built.layout.sum_wires)
-    index = 0
-    for a in range(span):
-        for b in range(span):
-            in_domain = a <= limit and b <= limit
-            if not in_domain and not full_basis:
-                continue
-            if ideal_convention == "pre-decrement" and in_domain:
-                encoded_a = (a + limit) % (limit + 1)
-                ideal = mod_add(n, a, b)
-            else:
-                encoded_a = a
-                ideal = mod_add_plus_one(n, a, b) if in_domain else None
-            histogram = run_noisy(
-                built.circuit,
-                built.encode(encoded_a, b),
-                noise,
-                shots,
-                _input_seed(seed, index),
-                readout=mod_wires + (sum_wires if score_sum else []),
-                reset_model=reset_model,
-            )
-            winner = most_frequent(histogram)
-            observed = winner & ((1 << len(mod_wires)) - 1)
-            ed = error_distance(ideal, observed) if ideal is not None else None
-            rows.append(InputResult(a=a, b=b, ideal=ideal, observed=observed, ed=ed))
-            if ed is not None:
-                eds.append(ed)
-            if score_sum and in_domain:
-                observed_sum = winner >> len(mod_wires)
-                sum_eds.append(error_distance(encoded_a + b, observed_sum))
-            index += 1
+    mod_mask = (1 << len(mod_wires)) - 1
+    for a_i, b_i, enc_a, valid, winner in zip(
+        a.tolist(), b.tolist(), encoded_a.tolist(), in_domain.tolist(), winners.tolist()
+    ):
+        if not valid:
+            ideal = None
+        elif pre_decrement:
+            ideal = mod_add(n, a_i, b_i)
+        else:
+            ideal = mod_add_plus_one(n, a_i, b_i)
+        observed = winner & mod_mask
+        ed = error_distance(ideal, observed) if ideal is not None else None
+        rows.append(InputResult(a=a_i, b=b_i, ideal=ideal, observed=observed, ed=ed))
+        if ed is not None:
+            eds.append(ed)
+        if score_sum and valid:
+            sum_eds.append(error_distance(enc_a + b_i, winner >> len(mod_wires)))
 
     med, nmed = aggregate(eds, limit)
     sum_med = None

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
+import qmodadd
 from qmodadd import cli
 from qmodadd.builders import AdderVariant, BuiltAdder, build_qma, decode
 from qmodadd.cli import main
 from qmodadd.oracle import mod_add_plus_one
 from qmodadd.qasm import export_qasm, parse_qasm
-from qmodadd.sim import run_exact
+from qmodadd.sim import ENGINE, RNG_SCHEME, run_exact
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +97,15 @@ def test_experiment_is_deterministic(capsys):
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_experiment_records_engine_meta(capsys):
+    args = ("experiment", "qma2", "--n", "1", "--shots", "5", "--seed", "7")
+    first, second = (run_cli(capsys, *args)[1] for _ in range(2))
+    assert first == second
+    assert json.loads(first)["meta"] == {
+        "version": qmodadd.__version__, "engine": ENGINE, "rng": RNG_SCHEME,
+    }
 
 
 def test_experiment_ordering_check(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from qmodadd.builders import AdderVariant, build_qma, decode
 from qmodadd.circuits import Circuit, cnot, reset, toffoli, x
 from qmodadd.errors import InvalidProbability, InvalidShots, LengthMismatch
 from qmodadd.sim import (
+    DEFAULT_NOISE,
     NoiseModel,
-    ShotHistogram,
+    _BLOCK_LANES,
+    _modes,
+    _tally,
     effective_reset_error,
-    most_frequent,
+    noisy_modes,
     run_exact,
     run_noisy,
 )
@@ -180,6 +184,8 @@ def test_run_noisy_validation():
         run_noisy(circuit, [0, 0], ZERO, 1, seed=0, readout=[5])
     with pytest.raises(InvalidProbability):
         run_noisy(circuit, [0, 0], ZERO, 1, seed=0, reset_model="other")
+    with pytest.raises(LengthMismatch):  # readout values are 64-bit keys
+        run_noisy(Circuit(65), [0] * 65, ZERO, 1, seed=0)
 
 
 def test_exact_simulation_scales_to_wide_adders():
@@ -202,9 +208,63 @@ def test_exact_simulation_scales_to_wide_adders():
 
 
 def test_most_frequent_tie_breaks_to_smallest():
-    hist = ShotHistogram(counts={0b01101: 900, 0b01100: 100}, shots=1000,
-                         seed=0, readout=(0, 1, 2, 3, 4))
-    assert most_frequent(hist) == 0b01101
-    hist = ShotHistogram(counts={6: 500, 3: 500}, shots=1000, seed=0,
-                         readout=(0, 1, 2))
-    assert most_frequent(hist) == 3
+    # Keys are input << 5 | value, sorted, as the engine hands them over.
+    keys = np.array([0b01100, 0b01101, 1 << 5 | 3, 1 << 5 | 6], dtype=np.uint64)
+    counts = np.array([100, 900, 500, 500])
+    assert _modes(keys, counts, 5).tolist() == [0b01101, 3]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.01])
+def test_idle_flip_rate_is_exactly_bernoulli(p):
+    # Wire 1 idles for the one layer.  Drawing positions with replacement
+    # and XOR-ing would flip at (1 - exp(-2p)) / 2, 0.226 for p = 0.3.
+    shots = 1_000_000
+    hist = run_noisy(Circuit(2, (x(0),)), [0, 0], NoiseModel(p_idle=p), shots,
+                     seed=17, readout=[1])
+    sigma = math.sqrt(p * (1 - p) / shots)
+    assert abs(hist.counts.get(1, 0) / shots - p) <= 3 * sigma
+
+
+@pytest.mark.parametrize("p", [0.3, 0.01])
+def test_flips_spread_evenly_over_a_block(p):
+    # Lanes are input-major, so input i holds slice i % 16 of block i // 16.
+    slices, blocks = 16, 16
+    shots = _BLOCK_LANES // slices
+    inputs = np.zeros(slices * blocks, dtype=np.int64)
+    _, keys, counts = _tally(Circuit(2, (x(0),)), [inputs, inputs],
+                             NoiseModel(p_idle=p), shots, 23, [1], "purify")
+    flipped = (keys & np.uint64(1)).astype(bool)
+    per_input = np.bincount((keys[flipped] >> np.uint64(1)).astype(np.int64),
+                            weights=counts[flipped], minlength=inputs.size)
+    observed = per_input.reshape(blocks, slices).sum(axis=0)
+    expected = blocks * shots * p
+    chi2 = float(((observed - expected) ** 2 / (expected * (1 - p))).sum())
+    assert chi2 < 37.7  # 15 degrees of freedom, upper 0.1 % point
+
+
+def test_run_noisy_memory_is_bounded_by_blocks():
+    # Unblocked, QMA1's 17 wires x 10^6 uint8 lanes alone take 17 MB; in
+    # blocks the peak is about 1.7 MiB and does not grow with the shots.
+    built = build_qma(AdderVariant.QMA1, 4)
+    tracemalloc.start()
+    try:
+        run_noisy(built.circuit, built.encode(5, 7), DEFAULT_NOISE, 1_000_000,
+                  seed=3, readout=list(built.layout.mod_wires))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+def test_noisy_modes_match_run_noisy_on_one_input():
+    built = build_qma(AdderVariant.QMA3, 2)
+    readout = list(built.layout.mod_wires)
+    for a, b in ((0, 0), (3, 4)):
+        bits = built.encode(a, b)
+        hist = run_noisy(built.circuit, bits, DEFAULT_NOISE, 300, seed=5,
+                         readout=readout)
+        best = max(hist.counts.values())
+        mode = min(v for v, c in hist.counts.items() if c == best)
+        assert noisy_modes(built.circuit, bits, DEFAULT_NOISE, 300, 5,
+                           readout=readout).tolist() == [mode]
+
