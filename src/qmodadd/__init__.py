@@ -15,8 +15,6 @@ from .circuits import (
     Circuit,
     Gate,
     GateKind,
-    Layering,
-    append_gate,
     cnot,
     compute_layering,
     depth_by_kind,
@@ -49,14 +47,12 @@ __all__ = [
     "ErrorReport",
     "Gate",
     "GateKind",
-    "Layering",
     "NoiseModel",
     "RegisterLayout",
     "ResourceReport",
     "ShotHistogram",
     "aggregate",
     "analyze",
-    "append_gate",
     "build_full_adder",
     "build_half_adder_increment",
     "build_nor_gadget",

@@ -35,11 +35,6 @@ class AdderVariant(Enum):
     QMA3 = "qma3"
     QMA4 = "qma4"
 
-    @property
-    def is_static(self) -> bool:
-        """Static variants are reset-free and fully reversible."""
-        return self in (AdderVariant.QMA1, AdderVariant.QMA2)
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -57,7 +52,6 @@ class RegisterLayout:
     b_wires: tuple[int, ...]
     sum_wires: tuple[int, ...]
     mod_wires: tuple[int, ...]
-    ancilla_wires: tuple[int, ...]
     preserved_roles: frozenset[str]
 
 
@@ -223,7 +217,6 @@ def _build_qma1(n: int) -> BuiltAdder:
         b_wires=tuple(b),
         sum_wires=tuple(a) + (carry, spill),
         mod_wires=tuple(zero_reg),
-        ancilla_wires=(),
         preserved_roles=frozenset({"b", "sum", "mod"}),
     )
     return BuiltAdder(Circuit(width, tuple(gates), "qma1"), layout, AdderVariant.QMA1)
@@ -248,7 +241,6 @@ def _build_qma2(n: int) -> BuiltAdder:
         b_wires=tuple(b),
         sum_wires=tuple(a) + (carry,),
         mod_wires=tuple(result),
-        ancilla_wires=(),
         preserved_roles=frozenset({"b", "sum", "mod"}),
     )
     return BuiltAdder(Circuit(width, tuple(gates), "qma2"), layout, AdderVariant.QMA2)
@@ -287,7 +279,6 @@ def _build_qma34(n: int, variant: AdderVariant) -> BuiltAdder:
         b_wires=tuple(b),
         sum_wires=tuple(a) + (carry,),
         mod_wires=tuple(result),
-        ancilla_wires=(),
         preserved_roles=frozenset({"sum", "mod"}),
     )
     return BuiltAdder(Circuit(width, tuple(gates), variant.value), layout, variant)

@@ -56,14 +56,6 @@ class Gate:
         if len(set(self.operands)) != len(self.operands):
             raise DuplicateOperand(f"repeated wire in {self.kind.name}{self.operands}")
 
-    @property
-    def target(self) -> int:
-        return self.operands[-1]
-
-    @property
-    def controls(self) -> tuple[int, ...]:
-        return self.operands[:-1]
-
 
 def x(wire: int) -> Gate:
     return Gate(GateKind.X, (wire,))
@@ -92,7 +84,12 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
-            _check_operands(self.width, gate)
+            for wire in gate.operands:
+                if not 0 <= wire < self.width:
+                    raise OperandOutOfRange(
+                        f"wire {wire} outside [0, {self.width}) in "
+                        f"{gate.kind.name}{gate.operands}"
+                    )
 
     def count(self, kind: GateKind) -> int:
         return sum(1 for g in self.gates if g.kind is kind)
@@ -101,40 +98,13 @@ class Circuit:
         return len(self.gates)
 
 
-def _check_operands(width: int, gate: Gate) -> None:
-    for wire in gate.operands:
-        if not 0 <= wire < width:
-            raise OperandOutOfRange(
-                f"wire {wire} outside [0, {width}) in {gate.kind.name}{gate.operands}"
-            )
-
-
-def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
-    """Return a new circuit with `gate` appended."""
-    _check_operands(circuit.width, gate)
-    return Circuit(circuit.width, circuit.gates + (gate,), circuit.label)
-
-
-@dataclass(frozen=True)
-class Layering:
-    """ASAP schedule: layers of wire-disjoint gates, plus gate -> layer map."""
-
-    layers: tuple[tuple[int, ...], ...]
-    assignment: tuple[int, ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-
-def compute_layering(circuit: Circuit) -> Layering:
-    """Greedy ASAP layering.
+def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
+    """Greedy ASAP layering: layers of wire-disjoint gate indices.
 
     Each gate goes to the earliest layer strictly after every earlier
     gate that shares one of its wires.  Deterministic in the gate order.
     """
     frontier: dict[int, int] = {}  # wire -> first layer free for use
-    assignment: list[int] = []
     layers: list[list[int]] = []
     for index, gate in enumerate(circuit.gates):
         layer = max((frontier.get(w, 0) for w in gate.operands), default=0)
@@ -143,11 +113,7 @@ def compute_layering(circuit: Circuit) -> Layering:
         if layer == len(layers):
             layers.append([])
         layers[layer].append(index)
-        assignment.append(layer)
-    return Layering(
-        layers=tuple(tuple(layer) for layer in layers),
-        assignment=tuple(assignment),
-    )
+    return tuple(tuple(layer) for layer in layers)
 
 
 def depth_by_kind(circuit: Circuit, kind: GateKind) -> int:

@@ -49,7 +49,8 @@ def _parse_noise(tokens: list[str] | None) -> NoiseModel:
     """Noise spec: key=value tokens, or the single token 'zero'.
 
     Keys: x, cnot, toffoli, idle, delta, and 'gate' as shorthand for
-    x+cnot+toffoli together.
+    x+cnot+toffoli together.  A specific key wins over 'gate' in any
+    order; a key given twice is an error.
     """
     base = {
         "x": DEFAULT_NOISE.p_x,
@@ -62,6 +63,7 @@ def _parse_noise(tokens: list[str] | None) -> NoiseModel:
         if tokens == ["zero"]:
             base = dict.fromkeys(base, 0.0)
         else:
+            given: dict[str, float] = {}
             for token in tokens:
                 if "=" not in token:
                     raise QmodaddError(f"noise token {token!r} is not key=value")
@@ -71,12 +73,14 @@ def _parse_noise(tokens: list[str] | None) -> NoiseModel:
                     value = float(raw)
                 except ValueError:
                     raise QmodaddError(f"noise value {raw!r} is not a number")
-                if key == "gate":
-                    base["x"] = base["cnot"] = base["toffoli"] = value
-                elif key in base:
-                    base[key] = value
-                else:
+                if key != "gate" and key not in base:
                     raise QmodaddError(f"unknown noise key {key!r}")
+                if key in given:
+                    raise QmodaddError(f"noise key {key!r} given twice")
+                given[key] = value
+            if "gate" in given:
+                base["x"] = base["cnot"] = base["toffoli"] = given.pop("gate")
+            base.update(given)
     return NoiseModel(
         p_x=base["x"],
         p_cnot=base["cnot"],
@@ -84,25 +88,6 @@ def _parse_noise(tokens: list[str] | None) -> NoiseModel:
         p_idle=base["idle"],
         delta_reset=base["delta"],
     )
-
-
-def _load_config(path: str | None) -> dict:
-    """Optional key=value config file; flags win over file values."""
-    if not path:
-        return {}
-    values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise QmodaddError(
-                    f"{path}: line {line_no}: expected key=value, got {line!r}"
-                )
-            values[key.strip()] = value.strip()
-    return values
 
 
 def _as_int(raw: str, name: str) -> int:
@@ -371,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("variants", nargs="*", type=_variant)
     p_exp.add_argument("--all", action="store_true")
     p_exp.add_argument("--n", type=int, required=True)
-    p_exp.add_argument("--shots", type=int, default=None,
-                       help="default 1000 (or config value)")
+    p_exp.add_argument("--shots", type=int, default=1000)
     p_exp.add_argument("--seed", type=int, default=None,
                        help="default: env QMA_SEED, else 0")
     p_exp.add_argument("--noise", nargs="*", default=None, metavar="KEY=VALUE",
@@ -386,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--score-sum", action="store_true")
     p_exp.add_argument("--check-ordering", action="store_true",
                        help="exit 3 unless NMED strictly decreases across variants")
-    p_exp.add_argument("--config", default=None,
-                       help="key=value file merged under the flags")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_verify = sub.add_parser("verify", help="exhaustive oracle check")
@@ -401,23 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args) -> None:
-    values = _load_config(getattr(args, "config", None))
-    if not values:
-        return
-    if args.seed is None and "seed" in values:
-        args.seed = _as_int(values["seed"], "config seed")
-    if args.shots is None and "shots" in values:
-        args.shots = _as_int(values["shots"], "config shots")
-    noise_keys = [
-        f"{key}={values[key]}"
-        for key in ("x", "cnot", "toffoli", "idle", "delta", "gate")
-        if key in values
-    ]
-    if noise_keys and args.noise is None:
-        args.noise = noise_keys
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -425,10 +390,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "experiment":
-            _merge_config(args)
-            if args.shots is None:
-                args.shots = 1000
         return args.func(args)
     except QmodaddError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -45,6 +45,10 @@ class InvalidShots(QmodaddError):
     """Shot count must be at least 1."""
 
 
+class UnknownOption(QmodaddError):
+    """An option string outside its documented choices."""
+
+
 class QasmError(QmodaddError):
     """Base class for QASM parse problems; carries a source position."""
 

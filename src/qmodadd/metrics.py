@@ -16,7 +16,7 @@ import numpy as np
 
 from .analyzer import ResourceReport, analyze, round2
 from .builders import AdderVariant, build_qma
-from .errors import EmptyInput, InvalidSMax
+from .errors import EmptyInput, InvalidSMax, UnknownOption
 from .oracle import mod_add, mod_add_plus_one
 from .sim import NoiseModel, noisy_modes
 
@@ -100,6 +100,8 @@ def run_experiment(
     (a + b + 1) mod (2^n + 1); "pre-decrement" decrements a (mod 2^n + 1)
     before encoding and scores against (a + b) mod (2^n + 1).
     """
+    if ideal_convention not in ("plus-one", "pre-decrement"):
+        raise UnknownOption(f"unknown ideal convention {ideal_convention!r}")
     built = build_qma(variant, n)
     limit = 1 << n
     span = 2 * limit if full_basis else limit + 1

@@ -46,7 +46,6 @@ def export_qasm(built: BuiltAdder) -> str:
         "b_wires": list(layout.b_wires),
         "sum_wires": list(layout.sum_wires),
         "mod_wires": list(layout.mod_wires),
-        "ancilla_wires": list(layout.ancilla_wires),
         "preserved_roles": sorted(layout.preserved_roles),
     }
     comment = f"// layout: {json.dumps(meta, sort_keys=True)}\n"
@@ -176,7 +175,6 @@ def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] 
             b_wires=tuple(data["b_wires"]),
             sum_wires=tuple(data["sum_wires"]),
             mod_wires=tuple(data["mod_wires"]),
-            ancilla_wires=tuple(data.get("ancilla_wires", ())),
             preserved_roles=frozenset(data.get("preserved_roles", ())),
         )
         variant = AdderVariant[data["variant"]]

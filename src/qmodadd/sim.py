@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, compute_layering
-from .errors import InvalidProbability, InvalidShots, LengthMismatch
+from .errors import InvalidProbability, InvalidShots, LengthMismatch, UnknownOption
 
 
 def run_exact(circuit: Circuit, bits: list) -> list:
@@ -175,7 +175,7 @@ def _schedule(circuit: Circuit, reset_model: str):
         steps.append((gate, 1))
     effective = Circuit(circuit.width, tuple(gate for gate, _ in steps))
     layers = []
-    for layer in compute_layering(effective).layers:
+    for layer in compute_layering(effective):
         groups: dict[tuple, list[int]] = {}
         for index in layer:
             gate, run = steps[index]
@@ -205,7 +205,7 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
     if shots < 1:
         raise InvalidShots(f"shots={shots} must be >= 1")
     if reset_model not in ("purify", "independent"):
-        raise InvalidProbability(f"unknown reset model {reset_model!r}")
+        raise UnknownOption(f"unknown reset model {reset_model!r}")
     readout = list(range(circuit.width)) if readout is None else list(readout)
     for wire in readout:
         if not 0 <= wire < circuit.width:
@@ -314,6 +314,8 @@ def run_noisy(
     delta, k); in "independent" mode every reset errs on its own.
     Deterministic in (circuit, bits, noise, shots, seed).
     """
+    if any(np.ndim(bit) for bit in bits):
+        raise LengthMismatch("run_noisy takes one input; use noisy_modes for many")
     readout, keys, counts = _tally(circuit, bits, noise, shots, seed, readout, reset_model)
     return ShotHistogram(
         counts=dict(zip(keys.tolist(), counts.tolist())),

@@ -147,7 +147,6 @@ class TestBuildQma:
 
     def test_static_variants_are_reset_free(self):
         for variant in (AdderVariant.QMA1, AdderVariant.QMA2):
-            assert variant.is_static
             built = build_qma(variant, 3)
             assert built.circuit.count(GateKind.RESET) == 0
 
@@ -198,7 +197,7 @@ class TestBuildQma:
             layout = built.layout
             assert set(layout.a_wires) | set(layout.b_wires) | set(
                 layout.sum_wires
-            ) | set(layout.mod_wires) | set(layout.ancilla_wires) == set(
+            ) | set(layout.mod_wires) == set(
                 range(built.circuit.width)
             )
             assert not set(layout.a_wires) & set(layout.b_wires)

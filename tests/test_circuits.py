@@ -7,7 +7,6 @@ from qmodadd.circuits import (
     Circuit,
     Gate,
     GateKind,
-    append_gate,
     cnot,
     compute_layering,
     depth_by_kind,
@@ -35,12 +34,12 @@ def test_duplicate_operand_rejected():
         toffoli(0, 1, 0)
 
 
-def test_append_gate():
-    circuit = Circuit(3)
-    circuit = append_gate(circuit, x(0))
-    assert len(circuit) == 1
+def test_circuit_rejects_out_of_range_operands():
+    assert len(Circuit(3, (x(0),))) == 1
     with pytest.raises(OperandOutOfRange):
-        append_gate(circuit, toffoli(0, 1, 5))
+        Circuit(3, (x(0), toffoli(0, 1, 5)))
+    with pytest.raises(OperandOutOfRange):
+        Circuit(3, (x(-1),))
 
 
 @pytest.mark.parametrize(
@@ -51,7 +50,7 @@ def test_append_gate():
     ],
 )
 def test_layering_examples(gates, layers):
-    assert compute_layering(Circuit(4, tuple(gates))).depth == layers
+    assert len(compute_layering(Circuit(4, tuple(gates)))) == layers
 
 
 def _min_depth_brute_force(gates):
@@ -77,7 +76,7 @@ def _min_depth_brute_force(gates):
 def test_layering_matches_brute_force_minimum():
     gates = (x(0), toffoli(0, 1, 2), x(0))
     assert _min_depth_brute_force(gates) == 3
-    assert compute_layering(Circuit(3, gates)).depth == 3
+    assert len(compute_layering(Circuit(3, gates))) == 3
 
 
 def test_depth_by_kind_absent_kind_is_zero():
@@ -139,9 +138,13 @@ def test_reset_free_circuits_are_permutations(circuit):
 @given(reset_free_circuits())
 @settings(max_examples=100, deadline=None)
 def test_layering_invariants(circuit):
-    layering = compute_layering(circuit)
+    layers = compute_layering(circuit)
+    # every gate in exactly one layer
+    assignment = {index: depth for depth, layer in enumerate(layers) for index in layer}
+    assert sorted(assignment) == list(range(len(circuit.gates)))
+    assert sum(map(len, layers)) == len(circuit.gates)
     # wire-disjointness inside each layer
-    for layer in layering.layers:
+    for layer in layers:
         used = []
         for index in layer:
             used.extend(circuit.gates[index].operands)
@@ -151,16 +154,16 @@ def test_layering_invariants(circuit):
         for j in range(i + 1, len(circuit.gates)):
             gj = circuit.gates[j]
             if set(gi.operands) & set(gj.operands):
-                assert layering.assignment[i] < layering.assignment[j]
+                assert assignment[i] < assignment[j]
     # deterministic
     again = compute_layering(circuit)
-    assert again == layering
+    assert again == layers
 
 
 @given(reset_free_circuits(), _random_gate())
 @settings(max_examples=100, deadline=None)
 def test_depth_never_decreases_when_appending(circuit, gate):
-    bigger = append_gate(circuit, gate)
+    bigger = Circuit(circuit.width, circuit.gates + (gate,))
     assert total_depth(bigger) >= total_depth(circuit)
     for kind in GateKind:
         assert depth_by_kind(bigger, kind) >= depth_by_kind(circuit, kind)

@@ -148,42 +148,31 @@ def test_experiment_env_seed(capsys, monkeypatch):
     assert json.loads(stdout)["seed"] == 123
 
 
-def test_experiment_config_file(tmp_path, capsys):
+def test_experiment_config_option_is_gone(tmp_path, capsys):
     config = tmp_path / "run.conf"
-    config.write_text("# sweep defaults\nseed = 55\ndelta = 0.0\ngate = 0\nidle=0\n")
-    code, stdout, _ = run_cli(
-        capsys, "experiment", "qma3", "--n", "1", "--shots", "5",
-        "--config", str(config),
-    )
-    assert code == 0
-    payload = json.loads(stdout)
-    assert payload["seed"] == 55
-    assert payload["noise"]["delta_reset"] == 0.0
-    assert payload["rows"][0]["nmed_float"] == 0.0
-
-
-@pytest.mark.parametrize("line", ["seed=abc", "shots=x"])
-def test_experiment_config_non_integer_is_usage_error(tmp_path, capsys, line):
-    config = tmp_path / "run.conf"
-    config.write_text(line + "\n")
+    config.write_text("seed = 55\n")
     code, stdout, stderr = run_cli(
         capsys, "experiment", "qma1", "--n", "1", "--config", str(config),
     )
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith("error: config ") and "is not an integer" in stderr
+    assert "unrecognized arguments: --config" in stderr
+    assert "Traceback" not in stderr
 
 
-def test_experiment_config_line_without_equals_is_usage_error(tmp_path, capsys):
-    config = tmp_path / "run.conf"
-    config.write_text("# sweep defaults\nseed 55\n")
-    code, stdout, stderr = run_cli(
-        capsys, "experiment", "qma1", "--n", "1", "--shots", "2",
-        "--config", str(config),
-    )
+def test_experiment_noise_is_order_free(capsys):
+    base = ("experiment", "qma1", "--n", "1", "--shots", "2", "--noise")
+    blocks = []
+    for tokens in (("gate=0.1", "x=0.2"), ("x=0.2", "gate=0.1")):
+        code, stdout, _ = run_cli(capsys, *base, *tokens)
+        assert code == 0
+        blocks.append(json.loads(stdout)["noise"])
+    assert blocks[0] == blocks[1]
+    assert blocks[0]["p_x"] == 0.2 and blocks[0]["p_cnot"] == 0.1
+    code, stdout, stderr = run_cli(capsys, *base, "x=0.1", "X=0.2")
     assert code == 2
     assert stdout == ""
-    assert "line 2" in stderr and "'seed 55'" in stderr
+    assert stderr == "error: noise key 'x' given twice\n"
 
 
 def test_verify_all_small(capsys):

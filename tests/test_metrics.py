@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qmodadd.builders import AdderVariant
-from qmodadd.errors import EmptyInput, InvalidSMax
+from qmodadd.errors import EmptyInput, InvalidSMax, UnknownOption
 from qmodadd.metrics import aggregate, error_distance, run_experiment, run_sweep
 from qmodadd.sim import DEFAULT_NOISE, NoiseModel
 
@@ -65,6 +65,12 @@ def test_pre_decrement_convention_scores_plain_modular_sum():
     by_input = {(row.a, row.b): row.ideal for row in report.per_input}
     assert by_input[(8, 1)] == 0
     assert by_input[(3, 4)] == 7
+
+
+def test_unknown_ideal_convention_is_rejected():
+    with pytest.raises(UnknownOption, match="pre_decrement"):
+        run_experiment(AdderVariant.QMA2, 1, ZERO, shots=1, seed=0,
+                       ideal_convention="pre_decrement")
 
 
 def test_full_basis_reports_unscored_rows():

@@ -9,7 +9,7 @@ from test_circuits import reset_free_circuits
 
 from qmodadd.builders import AdderVariant, build_qma, decode
 from qmodadd.circuits import Circuit, cnot, reset, toffoli, x
-from qmodadd.errors import InvalidProbability, InvalidShots, LengthMismatch
+from qmodadd.errors import InvalidProbability, InvalidShots, LengthMismatch, UnknownOption
 from qmodadd.sim import (
     DEFAULT_NOISE,
     NoiseModel,
@@ -182,10 +182,12 @@ def test_run_noisy_validation():
         run_noisy(circuit, [0], ZERO, 1, seed=0)
     with pytest.raises(LengthMismatch):
         run_noisy(circuit, [0, 0], ZERO, 1, seed=0, readout=[5])
-    with pytest.raises(InvalidProbability):
+    with pytest.raises(UnknownOption):
         run_noisy(circuit, [0, 0], ZERO, 1, seed=0, reset_model="other")
     with pytest.raises(LengthMismatch):  # readout values are 64-bit keys
         run_noisy(Circuit(65), [0] * 65, ZERO, 1, seed=0)
+    with pytest.raises(LengthMismatch, match="noisy_modes"):  # one input only
+        run_noisy(Circuit(1, (x(0),)), [np.array([0, 1])], ZERO, 3, seed=1)
 
 
 def test_exact_simulation_scales_to_wide_adders():
