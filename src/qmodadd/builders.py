@@ -1,10 +1,13 @@
 """Constructors for the four modulo (2**n + 1) adders and their gadgets.
 
-All four variants share the same first stage: a ripple adder that leaves
-the regular sum on the a-register (plus a carry wire) while reverse
-computing the b-register back to its input.  A NOR gadget folds the two
-top sum bits into a correction bit, and a second stage (full adder for
-QMA1, half-adder increment otherwise) produces the modulo sum.
+`build_qma` builds all four variants in one body, because the paper
+derives each from the one before.  They share the first stage: a ripple
+adder that leaves the regular sum on the a-register (plus a carry wire)
+while reverse computing the b-register back to its input.  A NOR gadget
+folds the two top sum bits into a correction bit on the first result
+wire.  The paper's steps are then three branches: QMA1's second stage is
+a full adder, the others use a half-adder increment; QMA3 resets and
+reuses b wires as the result register; QMA4 resets each of them twice.
 
 Wire budget per variant, for operand size n:
 
@@ -188,97 +191,52 @@ def build_qma(variant: AdderVariant, n: int) -> BuiltAdder:
     """
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
+    w = n + 1
+    a = list(range(w))
+    b = list(range(w, 2 * w))
+    carry = 2 * w
+    fresh = 2 * w + 1  # first wire after the shared registers
+    reuses_b = variant in (AdderVariant.QMA3, AdderVariant.QMA4)
+    if reuses_b:
+        # n of the b wires plus one fresh wire are reset and reused as the
+        # result register; one b wire is left untouched.  Reused b wires
+        # take the heavy result bits: their resets land late in the
+        # schedule, so they idle least before use.  The fresh wire has no
+        # predecessors, resets at the very start, and therefore takes a
+        # light bit.  The truncation drops b[n] when n == 1 (two result
+        # wires suffice); otherwise b[n-1] is the wire that keeps its value.
+        result = ([b[0], fresh] + b[1 : n - 1] + [b[n]])[: n + 1]
+    else:
+        # Static adders: n + 1 fresh wires, the correction bit first.
+        result = list(range(fresh, fresh + w))
+    sum_wires = a + [carry]
+
+    gates = build_full_adder(a, b, carry)
+    if reuses_b:
+        resets_per_wire = 2 if variant is AdderVariant.QMA4 else 1
+        for wire in result:
+            gates += [reset(wire)] * resets_per_wire
+    gates += build_nor_gadget(carry, a[n], result[0])
+    folded = a[:n] + [carry]
     if variant is AdderVariant.QMA1:
-        return _build_qma1(n)
-    if variant is AdderVariant.QMA2:
-        return _build_qma2(n)
-    return _build_qma34(n, variant)
-
-
-def _build_qma1(n: int) -> BuiltAdder:
-    w = n + 1
-    a = list(range(w))
-    b = list(range(w, 2 * w))
-    carry = 2 * w
-    zero_reg = list(range(2 * w + 1, 3 * w + 1))  # correction bit + result
-    spill = 3 * w + 1
-    width = 3 * n + 5
-
-    gates = build_full_adder(a, b, carry)
-    gates += build_nor_gadget(carry, a[n], zero_reg[0])
-    folded = a[:n] + [carry]
-    # Second stage: full adder with the zero register as the receiving
-    # side, so the regular sum survives on its own wires.
-    gates += build_full_adder(zero_reg, folded, spill)
+        # Second stage: full adder with the result register as the
+        # receiving side, so the regular sum survives on its own wires.
+        # Its carry out lands on an always-zero spill wire, kept for
+        # reversibility.
+        spill = fresh + w
+        gates += build_full_adder(result, folded, spill)
+        sum_wires.append(spill)
+    else:
+        gates += build_half_adder_increment(folded, result[0], result[1:])
 
     layout = RegisterLayout(
         n=n,
         a_wires=tuple(a),
         b_wires=tuple(b),
-        sum_wires=tuple(a) + (carry, spill),
-        mod_wires=tuple(zero_reg),
-        preserved_roles=frozenset({"b", "sum", "mod"}),
-    )
-    return BuiltAdder(Circuit(width, tuple(gates), "qma1"), layout, AdderVariant.QMA1)
-
-
-def _build_qma2(n: int) -> BuiltAdder:
-    w = n + 1
-    a = list(range(w))
-    b = list(range(w, 2 * w))
-    carry = 2 * w
-    result = list(range(2 * w + 1, 3 * w + 1))  # correction bit + fresh wires
-    width = 3 * n + 4
-
-    gates = build_full_adder(a, b, carry)
-    gates += build_nor_gadget(carry, a[n], result[0])
-    folded = a[:n] + [carry]
-    gates += build_half_adder_increment(folded, result[0], result[1:])
-
-    layout = RegisterLayout(
-        n=n,
-        a_wires=tuple(a),
-        b_wires=tuple(b),
-        sum_wires=tuple(a) + (carry,),
+        sum_wires=tuple(sum_wires),
         mod_wires=tuple(result),
-        preserved_roles=frozenset({"b", "sum", "mod"}),
+        preserved_roles=frozenset({"sum", "mod"} if reuses_b else {"b", "sum", "mod"}),
     )
-    return BuiltAdder(Circuit(width, tuple(gates), "qma2"), layout, AdderVariant.QMA2)
-
-
-def _build_qma34(n: int, variant: AdderVariant) -> BuiltAdder:
-    w = n + 1
-    a = list(range(w))
-    b = list(range(w, 2 * w))
-    carry = 2 * w
-    fresh = 2 * w + 1
-    width = 2 * n + 4
-
-    # n of the b wires plus one fresh wire are reset and reused as the
-    # result register; one b wire is left untouched.  Reused b wires take
-    # the heavy result bits: their resets land late in the schedule, so
-    # they idle least before use.  The fresh wire has no predecessors,
-    # resets at the very start, and therefore takes a light bit.  The
-    # truncation drops b[n] when n == 1 (two result wires suffice);
-    # otherwise b[n-1] is the wire that keeps its value.
-    result = ([b[0], fresh] + b[1 : n - 1] + [b[n]])[: n + 1]
-    doubled = variant is AdderVariant.QMA4
-
-    gates = build_full_adder(a, b, carry)
-    for wire in result:
-        gates.append(reset(wire))
-        if doubled:
-            gates.append(reset(wire))
-    gates += build_nor_gadget(carry, a[n], result[0])
-    folded = a[:n] + [carry]
-    gates += build_half_adder_increment(folded, result[0], result[1:])
-
-    layout = RegisterLayout(
-        n=n,
-        a_wires=tuple(a),
-        b_wires=tuple(b),
-        sum_wires=tuple(a) + (carry,),
-        mod_wires=tuple(result),
-        preserved_roles=frozenset({"sum", "mod"}),
-    )
+    # Wires are numbered densely, so the last one is a sum or result wire.
+    width = max(sum_wires + result) + 1
     return BuiltAdder(Circuit(width, tuple(gates), variant.value), layout, variant)

@@ -98,12 +98,14 @@ def _as_int(raw: str, name: str) -> int:
 
 
 def _default_seed(args) -> int:
+    """--seed, else env QMA_SEED, else 0; negative seeds are rejected."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QMA_SEED")
-    if env is not None:
-        return _as_int(env, "QMA_SEED")
-    return 0
+        name, seed = "--seed", args.seed
+    else:
+        name, seed = "QMA_SEED", _as_int(os.environ.get("QMA_SEED", "0"), "QMA_SEED")
+    if seed < 0:
+        raise QmodaddError(f"{name}={seed} is negative (a seed must be >= 0)")
+    return seed
 
 
 def _selected_variants(args) -> list[AdderVariant]:
@@ -302,6 +304,9 @@ def _verify_qasm(path: str) -> int:
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as err:
+        print(f"error: {path} is not UTF-8 text (byte {err.start})", file=sys.stderr)
+        return EXIT_USAGE
     circuit, layout = parse_qasm(text)
     if layout is None:
         print("error: file has no usable layout metadata", file=sys.stderr)

@@ -20,13 +20,14 @@ from .errors import (
     WidthMismatch,
 )
 
-_GATE_NAMES = {
-    GateKind.X: "x",
-    GateKind.CNOT: "cx",
-    GateKind.TOFFOLI: "ccx",
-    GateKind.RESET: "reset",
-}
-_NAME_TO_KIND = {v: k for k, v in _GATE_NAMES.items()}
+#: Widest `qubit[...]` declaration `parse_qasm` accepts.  The widest built
+#: adder needs 3n + 5 wires (293 at n = 96); a wider declaration raises
+#: SubsetViolation before anything of that size is allocated.
+MAX_WIDTH = 1 << 16
+
+#: statement name -> kind; the names are GateKind's values.  A dict, since
+#: GateKind(name) costs about 1 us per parsed statement.
+_KINDS = {kind.value: kind for kind in GateKind}
 
 #: gate names that are real OpenQASM but outside the supported subset
 _KNOWN_FOREIGN = {
@@ -60,9 +61,8 @@ def export_circuit(circuit: Circuit) -> str:
 
 
 def _gate_line(gate: Gate) -> str:
-    name = _GATE_NAMES[gate.kind]
     args = ", ".join(f"q[{w}]" for w in gate.operands)
-    return f"{name} {args};"
+    return f"{gate.kind.value} {args};"
 
 
 _LAYOUT_RE = re.compile(r"^//\s*layout:\s*(\{.*\})\s*$")
@@ -111,7 +111,16 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
                 raise QasmSyntaxError(
                     f"expected qubit declaration, got {line!r}", line_no, 1
                 )
-            width = int(match.group(1))
+            try:
+                width = int(match.group(1))
+            except ValueError:  # past int()'s digit limit
+                width = MAX_WIDTH + 1
+            if width > MAX_WIDTH:
+                raise SubsetViolation(
+                    f"register wider than the supported {MAX_WIDTH} qubits",
+                    line_no,
+                    1,
+                )
             continue
         gates.append(_parse_statement(line, line_no, width))
 
@@ -131,7 +140,7 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
     if not match:
         raise QasmSyntaxError(f"unparseable statement {line!r}", line_no, 1)
     name = match.group("name")
-    kind = _NAME_TO_KIND.get(name)
+    kind = _KINDS.get(name)
     if kind is None:
         if name in _KNOWN_FOREIGN or name == "qubit":
             raise SubsetViolation(
@@ -146,7 +155,16 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
         operand_match = _OPERAND_RE.match(piece)
         if not operand_match:
             raise QasmSyntaxError(f"bad operand {piece!r}", line_no, 1)
-        operands.append(int(operand_match.group(1)))
+        digits = operand_match.group(1)
+        try:
+            operands.append(int(digits))
+        except ValueError:  # past int()'s digit limit, so past any width
+            raise WidthMismatch(
+                f"operand index of {len(digits)} digits outside register of "
+                f"size {width}",
+                line_no,
+                1,
+            )
     if len(operands) != kind.arity:
         raise QasmSyntaxError(
             f"{name} takes {kind.arity} operand(s), got {len(operands)}",

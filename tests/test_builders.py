@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qmodadd.builders import (
@@ -11,7 +13,16 @@ from qmodadd.builders import (
 from qmodadd.circuits import Circuit, GateKind
 from qmodadd.errors import DuplicateOperand, InvalidN, LengthMismatch
 from qmodadd.oracle import mod_add_plus_one
+from qmodadd.qasm import export_qasm
 from qmodadd.sim import run_exact
+
+#: sha256 of export_qasm(build_qma(v, n)) concatenated over the variants in
+#: declaration order, n = 1..8 within each.  Emission order is part of the
+#: resource contract (see the builders module docstring); any change to a
+#: gate, its operands or its position changes this digest.
+_GOLDEN_BUILD_SHA256 = (
+    "9b0cc113e0d403b7a82a7203b23bbc7b2ee0dd955044a17bbff82e309ceb3fa5"
+)
 
 
 def _run(width, gates, bits):
@@ -118,6 +129,13 @@ class TestHalfAdderIncrement:
 
 
 class TestBuildQma:
+    def test_golden_build_digest(self):
+        digest = hashlib.sha256()
+        for variant in AdderVariant:
+            for n in range(1, 9):
+                digest.update(export_qasm(build_qma(variant, n)).encode())
+        assert digest.hexdigest() == _GOLDEN_BUILD_SHA256
+
     def test_invalid_n(self):
         with pytest.raises(InvalidN):
             build_qma(AdderVariant.QMA1, 0)

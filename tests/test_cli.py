@@ -1,13 +1,14 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qmodadd
 from qmodadd import cli
 from qmodadd.builders import AdderVariant, BuiltAdder, build_qma, decode
 from qmodadd.cli import main
 from qmodadd.oracle import mod_add_plus_one
-from qmodadd.qasm import export_qasm, parse_qasm
+from qmodadd.qasm import MAX_WIDTH, export_qasm, parse_qasm
 from qmodadd.sim import ENGINE, RNG_SCHEME, run_exact
 
 
@@ -148,6 +149,19 @@ def test_experiment_env_seed(capsys, monkeypatch):
     assert json.loads(stdout)["seed"] == 123
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_experiment_negative_seed_is_usage_error(capsys, monkeypatch, source):
+    argv = ["experiment", "qma1", "--n", "1", "--shots", "2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        message = "error: --seed=-1 is negative (a seed must be >= 0)\n"
+    else:
+        monkeypatch.setenv("QMA_SEED", "-3")
+        message = "error: QMA_SEED=-3 is negative (a seed must be >= 0)\n"
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout, stderr) == (2, "", message)
+
+
 def test_experiment_config_option_is_gone(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("seed = 55\n")
@@ -218,6 +232,25 @@ def test_verify_rejects_layout_n_that_disagrees_with_registers(tmp_path, capsys)
     assert "no usable layout metadata" in stderr
 
 
+def test_verify_non_utf8_qasm_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.qasm"
+    bad.write_bytes(b"OPENQASM 3.0;\n\xff\xfe\n")
+    code, stdout, stderr = run_cli(capsys, "verify", "--n", "1", "--qasm", str(bad))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {bad} is not UTF-8 text (byte 14)\n"
+
+
+def test_verify_oversized_register_is_usage_error(tmp_path, capsys):
+    text = export_qasm(build_qma(AdderVariant.QMA2, 1))
+    bad = tmp_path / "big.qasm"
+    bad.write_text(text.replace("qubit[7] q;", "qubit[99999999999999999999] q;"))
+    code, stdout, stderr = run_cli(capsys, "verify", "--n", "1", "--qasm", str(bad))
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"error: 3:1: register wider than the supported {MAX_WIDTH} qubits\n"
+    )
+
+
 def test_verify_in_small_chunks_prints_the_same(capsys, monkeypatch):
     argv = ("verify", "--all", "--n", "1..3")
     default = run_cli(capsys, *argv)
@@ -276,3 +309,71 @@ def test_verify_gateless_qasm_fails_at_the_first_pair(tmp_path, capsys):
     assert code == 4
     assert stdout == f"FAIL {bad} a=0 b=0: expected 1, got 0\n"
     assert stderr == ""
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Files for the CLI fuzz: a good build, a non-UTF-8 file, an oversized
+    declaration, a directory and a missing path; plus an output path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    text = export_qasm(build_qma(AdderVariant.QMA2, 1))
+    files = {
+        "good.qasm": text.encode(),
+        "binary.qasm": b"OPENQASM 3.0;\n\xff\xfe\n",
+        "big.qasm": text.replace("qubit[7]", "qubit[99999999999999999999]").encode(),
+    }
+    for name, blob in files.items():
+        (root / name).write_bytes(blob)
+    inputs = [str(root / name) for name in files] + [str(root), str(root / "missing")]
+    return inputs, str(root / "out.qasm")
+
+
+_COMMANDS = ["build", "analyze", "experiment", "verify", "bogus"]
+_SELECTIONS = [[], ["--all"], ["qma1"], ["qma9"], ["qma3", "qma4"]]
+_BARE = ["--all", "--full-basis", "--score-sum", "--check-ordering", "--help",
+         "qma2", "--frobnicate"]
+# Huge --n or --shots values are left out: they still end in OverflowError
+# until the work of a run is bounded before it starts.
+_COUNTS = ["-1", "0", "1", "3", "abc"]
+_VALUES = {
+    "--n": ["-1", "0", "1", "2", "x", "1..2", "2..1"],
+    "--shots": _COUNTS,
+    "--seed": _COUNTS,
+    "--noise": ["zero", "gate=0.1", "x=0.2", "idle=2", "delta=-1", "foo=1", "x"],
+    "--format": ["csv", "json", "table", "xml"],
+    "--reset-model": ["purify", "independent", "bogus"],
+    "--ideal-convention": ["plus-one", "pre-decrement", "bogus"],
+}
+_ITEMS = st.one_of(
+    st.sampled_from(_BARE).map(lambda token: [token]),
+    st.sampled_from(sorted(_VALUES)).flatmap(
+        lambda flag: st.sampled_from(_VALUES[flag]).map(lambda value: [flag, value])
+    ),
+    st.integers(0, 4).map(lambda index: ["--qasm", index]),
+    st.just(["-o"]),
+)
+
+
+@given(
+    command=st.sampled_from(_COMMANDS),
+    selection=st.sampled_from(_SELECTIONS),
+    n=st.sampled_from(_VALUES["--n"]),
+    items=st.lists(_ITEMS, max_size=5),
+)
+# The three inputs that once escaped main as tracebacks.
+@example(command="experiment", selection=["qma1"], n="1",
+         items=[["--shots", "1"], ["--seed", "-1"]])
+@example(command="verify", selection=[], n="1", items=[["--qasm", 1]])
+@example(command="verify", selection=[], n="1", items=[["--qasm", 2]])
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exits_with_a_documented_code(fuzz_paths, command, selection, n, items):
+    """Any argv over the token set ends in an exit code 0..4, never a raise."""
+    inputs, output = fuzz_paths
+    argv = [command, *selection, "--n", n]
+    for item in items:
+        if item[0] == "--qasm":
+            item = ["--qasm", inputs[item[1]]]
+        elif item == ["-o"]:
+            item = ["-o", output]
+        argv += item
+    assert main(argv) in range(5)

@@ -13,7 +13,7 @@ from qmodadd.errors import (
     SubsetViolation,
     WidthMismatch,
 )
-from qmodadd.qasm import export_circuit, export_qasm, parse_qasm
+from qmodadd.qasm import MAX_WIDTH, export_circuit, export_qasm, parse_qasm
 
 
 def test_single_gate_export():
@@ -73,6 +73,24 @@ def test_width_mismatch():
     bad = "OPENQASM 3.0;\nqubit[3] q;\nccx q[0], q[1], q[9];\n"
     with pytest.raises(WidthMismatch):
         parse_qasm(bad)
+
+
+def test_register_width_is_capped():
+    header = "// a comment\nOPENQASM 3.0;\nqubit[{}] q;\n"
+    assert parse_qasm(header.format(MAX_WIDTH))[0].width == MAX_WIDTH
+    # Past the cap, and past int()'s default digit limit, nothing is built.
+    for width in (MAX_WIDTH + 1, "9" * 20, "9" * 5000):
+        with pytest.raises(SubsetViolation) as err:
+            parse_qasm(header.format(width))
+        assert err.value.line == 3
+        assert str(MAX_WIDTH) in str(err.value)
+
+
+def test_huge_operand_is_a_width_mismatch():
+    operand = "q[" + "9" * 5000 + "]"
+    with pytest.raises(WidthMismatch) as err:
+        parse_qasm(f"OPENQASM 3.0;\nqubit[2] q;\nx {operand};\n")
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize(
