@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -187,6 +188,32 @@ def test_experiment_noise_is_order_free(capsys):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: noise key 'x' given twice\n"
+
+
+_EXPERIMENT = ["experiment", "--all", "--n", "2", "--shots", "50", "--seed", "3"]
+_GOLDEN_ARGV = (
+    [["analyze", "--all", "--n", str(n), "--format", fmt]
+     for n in range(1, 9) for fmt in ("json", "csv", "table")]
+    + [["verify", "--all", "--n", "1..4"]]
+    + [_EXPERIMENT + ["--format", fmt] + extra
+       for fmt in ("json", "csv")
+       for extra in ([], ["--noise", "zero"], ["--noise", "gate=0.1", "x=0.2"],
+                     ["--reset-model", "independent", "--full-basis", "--score-sum"])]
+    + [["verify", "--n", "1", "--qasm", "/nonexistent.qasm"],
+       ["verify", "--n", "1", "--qasm", "/"],
+       ["build", "qma1", "--n", "2", "-o", "/"]]
+    + [["experiment", "qma1", "--n", "1", "--shots", "2", "--noise", *tokens]
+       for tokens in (["idle=2"], ["delta=-1"], ["foo=1"], ["x"], ["x=abc"],
+                      ["x=0.1", "X=0.2"], ["zero", "x=0.1"])]
+)
+
+
+def test_golden_cli_digest(capsys):
+    """One sha256 over (argv, exit code, stdout, stderr) of a fixed argv set.
+    Change the digest only together with a stated change of output."""
+    runs = [[argv, *run_cli(capsys, *argv)] for argv in _GOLDEN_ARGV]
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+    assert digest == "11b8af92804ca1efca9b4528b93d91ced18100f240f24c979eb29589caf6edd3"
 
 
 def test_verify_all_small(capsys):
