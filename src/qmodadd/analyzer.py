@@ -84,18 +84,17 @@ def round2(value: Fraction) -> Decimal:
     )
 
 
-def compare(reports: list[ResourceReport], baseline: int = 0) -> list[dict]:
-    """Percentage reduction of each field relative to one baseline report.
+def compare(reports: list[ResourceReport]) -> list[dict]:
+    """Percentage reduction of each field relative to the first report.
 
-    delta = 100 * (baseline - value) / baseline, rounded to two decimals
-    half-even; positive means the report improves on the baseline.  Fields
-    whose baseline is zero come back as None (undefined).
+    delta = 100 * (first - value) / first, rounded to two decimals
+    half-even; positive means the report improves on the first.  Fields
+    whose first value is zero come back as None (undefined), or 0.00 for
+    a report whose value is also zero.
     """
     if not reports:
         raise EmptyInput("no reports to compare")
-    if not 0 <= baseline < len(reports):
-        raise EmptyInput(f"baseline index {baseline} out of range")
-    base = reports[baseline]
+    base = reports[0]
     rows = []
     for report in reports:
         row: dict = {"label": report.label}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +33,13 @@ EXIT_VERIFY = 4
 
 SCHEMA_VERSION = 1
 
+#: What each JSON payload records about the program that wrote it.
+_META = {"version": __version__, "engine": ENGINE, "rng": RNG_SCHEME}
+
+#: `--noise` key -> NoiseModel field; 'gate' sets the three gate keys.
+_NOISE_KEYS = {"x": "p_x", "cnot": "p_cnot", "toffoli": "p_toffoli",
+               "idle": "p_idle", "delta": "delta_reset"}
+
 #: Inputs per `run_exact` call in `verify`; more lanes cost peak memory.
 _VERIFY_LANES = 1024
 
@@ -46,55 +54,36 @@ def _variant(token: str) -> AdderVariant:
 
 
 def _parse_noise(tokens: list[str] | None) -> NoiseModel:
-    """Noise spec: key=value tokens, or the single token 'zero'.
+    """Noise spec: key=value tokens over DEFAULT_NOISE, or the single
+    token 'zero'.
 
-    Keys: x, cnot, toffoli, idle, delta, and 'gate' as shorthand for
-    x+cnot+toffoli together.  A specific key wins over 'gate' in any
-    order; a key given twice is an error.
+    Keys: those of _NOISE_KEYS, and 'gate' as shorthand for x+cnot+toffoli
+    together.  A specific key wins over 'gate' in any order; a key given
+    twice is an error.
     """
-    base = {
-        "x": DEFAULT_NOISE.p_x,
-        "cnot": DEFAULT_NOISE.p_cnot,
-        "toffoli": DEFAULT_NOISE.p_toffoli,
-        "idle": DEFAULT_NOISE.p_idle,
-        "delta": DEFAULT_NOISE.delta_reset,
-    }
-    if tokens:
-        if tokens == ["zero"]:
-            base = dict.fromkeys(base, 0.0)
-        else:
-            given: dict[str, float] = {}
-            for token in tokens:
-                if "=" not in token:
-                    raise QmodaddError(f"noise token {token!r} is not key=value")
-                key, _, raw = token.partition("=")
-                key = key.strip().lower()
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise QmodaddError(f"noise value {raw!r} is not a number")
-                if key != "gate" and key not in base:
-                    raise QmodaddError(f"unknown noise key {key!r}")
-                if key in given:
-                    raise QmodaddError(f"noise key {key!r} given twice")
-                given[key] = value
-            if "gate" in given:
-                base["x"] = base["cnot"] = base["toffoli"] = given.pop("gate")
-            base.update(given)
-    return NoiseModel(
-        p_x=base["x"],
-        p_cnot=base["cnot"],
-        p_toffoli=base["toffoli"],
-        p_idle=base["idle"],
-        delta_reset=base["delta"],
+    if tokens == ["zero"]:
+        return NoiseModel()
+    given: dict[str, float] = {}
+    for token in tokens or ():
+        if "=" not in token:
+            raise QmodaddError(f"noise token {token!r} is not key=value")
+        key, _, raw = token.partition("=")
+        key = key.strip().lower()
+        try:
+            value = float(raw)
+        except ValueError:
+            raise QmodaddError(f"noise value {raw!r} is not a number")
+        if key != "gate" and key not in _NOISE_KEYS:
+            raise QmodaddError(f"unknown noise key {key!r}")
+        if key in given:
+            raise QmodaddError(f"noise key {key!r} given twice")
+        given[key] = value
+    if "gate" in given:
+        gate = given.pop("gate")
+        given = {"x": gate, "cnot": gate, "toffoli": gate, **given}
+    return dataclasses.replace(
+        DEFAULT_NOISE, **{_NOISE_KEYS[key]: value for key, value in given.items()}
     )
-
-
-def _as_int(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise QmodaddError(f"{name}={raw!r} is not an integer")
 
 
 def _default_seed(args) -> int:
@@ -102,7 +91,11 @@ def _default_seed(args) -> int:
     if args.seed is not None:
         name, seed = "--seed", args.seed
     else:
-        name, seed = "QMA_SEED", _as_int(os.environ.get("QMA_SEED", "0"), "QMA_SEED")
+        name, raw = "QMA_SEED", os.environ.get("QMA_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise QmodaddError(f"QMA_SEED={raw!r} is not an integer")
     if seed < 0:
         raise QmodaddError(f"{name}={seed} is negative (a seed must be >= 0)")
     return seed
@@ -124,8 +117,7 @@ def cmd_build(args) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as err:
-            print(f"error: cannot write {args.output}: {err}", file=sys.stderr)
-            return EXIT_IO
+            raise OSError(f"cannot write {args.output}: {err}")
     else:
         sys.stdout.write(text)
     report = analyze(built.circuit)
@@ -140,11 +132,11 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     variants = _selected_variants(args)
     reports = [analyze(build_qma(v, args.n).circuit) for v in variants]
-    deltas = compare(reports, baseline=0)
+    deltas = compare(reports)
     if args.format == "json":
         payload = {
             "schema": SCHEMA_VERSION,
-            "meta": {"version": __version__, "engine": ENGINE, "rng": RNG_SCHEME},
+            "meta": _META,
             "n": args.n,
             "reports": [r.as_dict() for r in reports],
             "reduction_pct_vs_first": [
@@ -220,18 +212,12 @@ def cmd_experiment(args) -> int:
     else:
         payload = {
             "schema": SCHEMA_VERSION,
-            "meta": {"version": __version__, "engine": ENGINE, "rng": RNG_SCHEME},
+            "meta": _META,
             "n": args.n,
             "shots": args.shots,
             "seed": seed,
             "reset_model": args.reset_model,
-            "noise": {
-                "p_x": noise.p_x,
-                "p_cnot": noise.p_cnot,
-                "p_toffoli": noise.p_toffoli,
-                "p_idle": noise.p_idle,
-                "delta_reset": noise.delta_reset,
-            },
+            "noise": dataclasses.asdict(noise),
             "rows": [
                 {
                     **row.error.as_dict(),
@@ -260,20 +246,21 @@ def cmd_experiment(args) -> int:
 def cmd_verify(args) -> int:
     lo, hi = args.n_range
     if args.qasm:
-        return _verify_qasm(args.qasm)
-    variants = _selected_variants(args)
-    for n in range(lo, hi + 1):
-        for variant in variants:
-            built = build_qma(variant, n)
-            failure = _check_adder(built)
-            if failure:
-                a, b, want, got = failure
-                print(
-                    f"FAIL {variant.value} n={n} a={a} b={b}: "
-                    f"expected {want}, got {got}"
-                )
-                return EXIT_VERIFY
-            print(f"ok {variant.value} n={n} ({(2**n + 1) ** 2} inputs)")
+        adders = [(args.qasm, _load_qasm(args.qasm))]
+    else:
+        variants = _selected_variants(args)
+        adders = (
+            (f"{variant.value} n={n}", build_qma(variant, n))
+            for n in range(lo, hi + 1)
+            for variant in variants
+        )
+    for label, built in adders:
+        failure = _check_adder(built)
+        if failure:
+            a, b, want, got = failure
+            print(f"FAIL {label} a={a} b={b}: expected {want}, got {got}")
+            return EXIT_VERIFY
+        print(f"ok {label} ({(2**built.n + 1) ** 2} inputs)")
     return EXIT_OK
 
 
@@ -297,28 +284,18 @@ def _check_adder(built) -> tuple | None:
     return None
 
 
-def _verify_qasm(path: str) -> int:
+def _load_qasm(path: str) -> BuiltAdder:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise OSError(f"cannot read {path}: {err}")
     except UnicodeDecodeError as err:
-        print(f"error: {path} is not UTF-8 text (byte {err.start})", file=sys.stderr)
-        return EXIT_USAGE
+        raise QmodaddError(f"{path} is not UTF-8 text (byte {err.start})")
     circuit, layout = parse_qasm(text)
     if layout is None:
-        print("error: file has no usable layout metadata", file=sys.stderr)
-        return EXIT_USAGE
-    built = BuiltAdder(circuit, layout, AdderVariant(circuit.label))
-    failure = _check_adder(built)
-    if failure:
-        a, b, want, got = failure
-        print(f"FAIL {path} a={a} b={b}: expected {want}, got {got}")
-        return EXIT_VERIFY
-    print(f"ok {path} ({(2**layout.n + 1) ** 2} inputs)")
-    return EXIT_OK
+        raise QmodaddError("file has no usable layout metadata")
+    return BuiltAdder(circuit, layout, AdderVariant(circuit.label))
 
 
 def _range_pair(token: str) -> tuple[int, int]:

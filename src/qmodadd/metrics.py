@@ -55,12 +55,11 @@ class ErrorReport:
     s_max: int
     shots: int
     seed: int
-    noise: NoiseModel
     ideal_convention: str
     sum_med: Fraction | None = None  # only with score_sum
 
-    def as_dict(self, include_rows: bool = True) -> dict:
-        payload = {
+    def as_dict(self) -> dict:
+        return {
             "variant": self.variant.name,
             "n": self.n,
             "med": str(self.med),
@@ -72,13 +71,11 @@ class ErrorReport:
             "seed": self.seed,
             "ideal_convention": self.ideal_convention,
             "sum_med": None if self.sum_med is None else str(self.sum_med),
-        }
-        if include_rows:
-            payload["per_input"] = [
+            "per_input": [
                 [row.a, row.b, row.ideal, row.observed, row.ed]
                 for row in self.per_input
-            ]
-        return payload
+            ],
+        }
 
 
 def run_experiment(
@@ -156,7 +153,6 @@ def run_experiment(
         s_max=limit,
         shots=shots,
         seed=seed,
-        noise=noise,
         ideal_convention=ideal_convention,
         sum_med=sum_med,
     )

@@ -24,7 +24,7 @@ replaced a per-input, dense-draw stream in version 0.2.0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -79,10 +79,10 @@ class NoiseModel:
     delta_reset: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_x", "p_cnot", "p_toffoli", "p_idle", "delta_reset"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not 0.0 <= value < 0.5:
-                raise InvalidProbability(f"{name}={value} outside [0, 0.5)")
+                raise InvalidProbability(f"{field.name}={value} outside [0, 0.5)")
 
 
 #: Frozen defaults for the experiment harness and the CLI.  Majority

@@ -79,8 +79,6 @@ def test_compare_undefined_when_baseline_zero():
 def test_compare_requires_reports():
     with pytest.raises(EmptyInput):
         compare([])
-    with pytest.raises(EmptyInput):
-        compare([analyze(Circuit(1))], baseline=3)
 
 
 def test_round2_is_half_even():
