@@ -89,8 +89,7 @@ def compare(reports: list[ResourceReport]) -> list[dict]:
 
     delta = 100 * (first - value) / first, rounded to two decimals
     half-even; positive means the report improves on the first.  Fields
-    whose first value is zero come back as None (undefined), or 0.00 for
-    a report whose value is also zero.
+    whose first value is zero come back as None (undefined).
     """
     if not reports:
         raise EmptyInput("no reports to compare")

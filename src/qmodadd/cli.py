@@ -22,7 +22,7 @@ from .builders import AdderVariant, BuiltAdder, build_qma, decode
 from .errors import QmodaddError
 from .metrics import run_sweep
 from .oracle import mod_add_plus_one
-from .qasm import export_qasm, parse_qasm
+from .qasm import MAX_WIDTH, export_qasm, parse_qasm
 from .sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, NoiseModel, run_exact
 
 EXIT_OK = 0
@@ -42,6 +42,13 @@ _NOISE_KEYS = {"x": "p_x", "cnot": "p_cnot", "toffoli": "p_toffoli",
 
 #: Inputs per `run_exact` call in `verify`; more lanes cost peak memory.
 _VERIFY_LANES = 1024
+
+#: Most work per adder, (2^n + 1)^2 inputs x shots x gates, that
+#: `experiment` or `verify` starts; a larger run exits 2 before it starts.
+#: The largest documented runs are far below it: `experiment --all --n 4
+#: --shots 1000` is about 1.8e7 for QMA1 and `verify` at n = 7 about 1.7e6
+#: for QMA1.  `--full-basis` runs about four times the estimate.
+MAX_WORK = 10**10
 
 
 def _variant(token: str) -> AdderVariant:
@@ -101,6 +108,30 @@ def _default_seed(args) -> int:
     return seed
 
 
+def _check_width(n: int) -> None:
+    """Usage error for an n whose widest adder, QMA1 with 3n + 5 wires,
+    declares more qubits than `parse_qasm` reads back."""
+    if 3 * n + 5 > MAX_WIDTH:
+        raise QmodaddError(
+            f"n={n} is too large: its widest adder has {3 * n + 5} wires, "
+            f"over qasm.MAX_WIDTH={MAX_WIDTH}"
+        )
+
+
+def _check_work(n: int, shots: int, circuits) -> None:
+    """Usage error for a run of more than MAX_WORK.  `circuits` is only
+    drawn from when (2^n + 1)^2 x shots alone fits, so the adders built to
+    count gates stay small."""
+    if n < 1:
+        return  # build_qma rejects it
+    lanes = ((1 << n) + 1) ** 2 * shots
+    if lanes > MAX_WORK or lanes * max(len(c.gates) for c in circuits) > MAX_WORK:
+        raise QmodaddError(
+            f"run too large: (2^n + 1)^2 x shots x gates at n={n}, shots={shots} "
+            f"is over MAX_WORK={MAX_WORK:.0e}"
+        )
+
+
 def _selected_variants(args) -> list[AdderVariant]:
     if getattr(args, "all", False):
         return list(AdderVariant)
@@ -110,6 +141,7 @@ def _selected_variants(args) -> list[AdderVariant]:
 
 
 def cmd_build(args) -> int:
+    _check_width(args.n)
     built = build_qma(args.variant, args.n)
     text = export_qasm(built)
     if args.output:
@@ -131,6 +163,7 @@ def cmd_build(args) -> int:
 
 def cmd_analyze(args) -> int:
     variants = _selected_variants(args)
+    _check_width(args.n)
     reports = [analyze(build_qma(v, args.n).circuit) for v in variants]
     deltas = compare(reports)
     if args.format == "json":
@@ -185,6 +218,8 @@ def cmd_experiment(args) -> int:
     variants = _selected_variants(args)
     noise = _parse_noise(args.noise)
     seed = _default_seed(args)
+    _check_width(args.n)
+    _check_work(args.n, args.shots, (build_qma(v, args.n).circuit for v in variants))
     rows = run_sweep(
         variants,
         args.n,
@@ -244,16 +279,22 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lo, hi = args.n_range
     if args.qasm:
-        adders = [(args.qasm, _load_qasm(args.qasm))]
-    else:
+        built = _load_qasm(args.qasm)
+        _check_work(built.n, 1, [built.circuit])
+        adders = [(args.qasm, built)]
+    elif args.n_range:
+        lo, hi = args.n_range
         variants = _selected_variants(args)
+        _check_width(hi)
+        _check_work(hi, 1, (build_qma(v, hi).circuit for v in variants))
         adders = (
             (f"{variant.value} n={n}", build_qma(variant, n))
             for n in range(lo, hi + 1)
             for variant in variants
         )
+    else:
+        raise QmodaddError("verify needs --n LO..HI or --qasm FILE")
     for label, built in adders:
         failure = _check_adder(built)
         if failure:
@@ -357,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="exhaustive oracle check")
     p_verify.add_argument("variants", nargs="*", type=_variant)
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--n", dest="n_range", type=_range_pair, required=True,
-                          metavar="LO..HI")
+    p_verify.add_argument("--n", dest="n_range", type=_range_pair, metavar="LO..HI")
     p_verify.add_argument("--qasm", default=None,
-                          help="verify a circuit from a .qasm file instead")
+                          help="verify a circuit from a .qasm file instead; "
+                               "any --n is then ignored")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -10,7 +11,7 @@ from qmodadd.builders import AdderVariant, BuiltAdder, build_qma, decode
 from qmodadd.cli import main
 from qmodadd.oracle import mod_add_plus_one
 from qmodadd.qasm import MAX_WIDTH, export_qasm, parse_qasm
-from qmodadd.sim import ENGINE, RNG_SCHEME, run_exact
+from qmodadd.sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, run_exact
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +191,20 @@ def test_experiment_noise_is_order_free(capsys):
     assert stderr == "error: noise key 'x' given twice\n"
 
 
+@pytest.mark.parametrize("key, fields", [
+    ("x", ["p_x"]), ("cnot", ["p_cnot"]), ("toffoli", ["p_toffoli"]),
+    ("idle", ["p_idle"]), ("delta", ["delta_reset"]),
+    ("gate", ["p_x", "p_cnot", "p_toffoli"]),
+])
+def test_experiment_noise_key_sets_its_fields(capsys, key, fields):
+    code, stdout, _ = run_cli(capsys, "experiment", "qma1", "--n", "1",
+                              "--shots", "2", "--noise", f"{key}=0.25")
+    assert code == 0
+    expected = dataclasses.asdict(DEFAULT_NOISE)
+    expected.update(dict.fromkeys(fields, 0.25))
+    assert json.loads(stdout)["noise"] == expected
+
+
 _EXPERIMENT = ["experiment", "--all", "--n", "2", "--shots", "50", "--seed", "3"]
 _GOLDEN_ARGV = (
     [["analyze", "--all", "--n", str(n), "--format", fmt]
@@ -278,6 +293,56 @@ def test_verify_oversized_register_is_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("n_flag", [[], ["--n", "1"], ["--n", "3..5"]])
+def test_verify_qasm_needs_no_n_and_ignores_one(tmp_path, capsys, n_flag):
+    good = tmp_path / "good.qasm"
+    good.write_text(export_qasm(build_qma(AdderVariant.QMA3, 2)))
+    result = run_cli(capsys, "verify", "--qasm", str(good), *n_flag)
+    assert result == (0, f"ok {good} (25 inputs)\n", "")
+
+
+def test_verify_without_n_or_qasm_is_usage_error(capsys):
+    result = run_cli(capsys, "verify", "--all")
+    assert result == (2, "", "error: verify needs --n LO..HI or --qasm FILE\n")
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail at once if a simulation starts: the runs below must not."""
+    def started(*args, **kwargs):
+        raise AssertionError("an oversized run was started")
+    monkeypatch.setattr(cli, "run_sweep", started)
+    monkeypatch.setattr(cli, "_check_adder", started)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "qma1", "--n", "99999999999999999999"],
+    ["analyze", "qma1", "--n", "99999999999999999999"],
+    ["experiment", "qma1", "--n", "1", "--shots", "99999999999999999999"],
+    ["build", "qma1", "--n", str((MAX_WIDTH - 5) // 3 + 1)],
+    ["verify", "--all", "--n", "1..99999999999999999999"],
+    ["verify", "--all", "--n", "1..14"],
+])
+def test_oversized_run_is_refused_before_it_starts(capsys, no_runs, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and "too large" in stderr
+
+
+def test_width_check_admits_the_widest_n_that_parses_back():
+    cli._check_width((MAX_WIDTH - 5) // 3)
+
+
+def test_verify_qasm_of_a_large_adder_is_refused_before_it_runs(
+    tmp_path, capsys, no_runs
+):
+    big = tmp_path / "n20.qasm"
+    big.write_text(export_qasm(build_qma(AdderVariant.QMA2, 20)))
+    code, stdout, stderr = run_cli(capsys, "verify", "--qasm", str(big))
+    assert (code, stdout) == (2, "")
+    assert "n=20, shots=1" in stderr and "too large" in stderr
+
+
 def test_verify_in_small_chunks_prints_the_same(capsys, monkeypatch):
     argv = ("verify", "--all", "--n", "1..3")
     default = run_cli(capsys, *argv)
@@ -359,11 +424,9 @@ _COMMANDS = ["build", "analyze", "experiment", "verify", "bogus"]
 _SELECTIONS = [[], ["--all"], ["qma1"], ["qma9"], ["qma3", "qma4"]]
 _BARE = ["--all", "--full-basis", "--score-sum", "--check-ordering", "--help",
          "qma2", "--frobnicate"]
-# Huge --n or --shots values are left out: they still end in OverflowError
-# until the work of a run is bounded before it starts.
-_COUNTS = ["-1", "0", "1", "3", "abc"]
+_COUNTS = ["-1", "0", "1", "3", "abc", "99999999999999999999"]
 _VALUES = {
-    "--n": ["-1", "0", "1", "2", "x", "1..2", "2..1"],
+    "--n": ["-1", "0", "1", "2", "x", "1..2", "2..1", "99999999999999999999"],
     "--shots": _COUNTS,
     "--seed": _COUNTS,
     "--noise": ["zero", "gate=0.1", "x=0.2", "idle=2", "delta=-1", "foo=1", "x"],
