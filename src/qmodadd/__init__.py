@@ -24,12 +24,11 @@ from .circuits import (
     x,
 )
 from .metrics import ErrorReport, aggregate, error_distance, run_experiment, run_sweep
-from .oracle import Decomposition, decompose, mod_add, mod_add_plus_one
+from .oracle import mod_add, mod_add_plus_one
 from .qasm import export_circuit, export_qasm, parse_qasm
 from .sim import (
     DEFAULT_NOISE,
     NoiseModel,
-    ShotHistogram,
     effective_reset_error,
     noisy_modes,
     run_exact,
@@ -43,14 +42,12 @@ __all__ = [
     "BuiltAdder",
     "Circuit",
     "DEFAULT_NOISE",
-    "Decomposition",
     "ErrorReport",
     "Gate",
     "GateKind",
     "NoiseModel",
     "RegisterLayout",
     "ResourceReport",
-    "ShotHistogram",
     "aggregate",
     "analyze",
     "build_full_adder",
@@ -61,7 +58,6 @@ __all__ = [
     "compare",
     "compute_layering",
     "decode",
-    "decompose",
     "depth_by_kind",
     "effective_reset_error",
     "error_distance",

@@ -94,9 +94,6 @@ class Circuit:
     def count(self, kind: GateKind) -> int:
         return sum(1 for g in self.gates if g.kind is kind)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
     """Greedy ASAP layering: layers of wire-disjoint gate indices.

@@ -43,12 +43,18 @@ _NOISE_KEYS = {"x": "p_x", "cnot": "p_cnot", "toffoli": "p_toffoli",
 #: Inputs per `run_exact` call in `verify`; more lanes cost peak memory.
 _VERIFY_LANES = 1024
 
-#: Most work per adder, (2^n + 1)^2 inputs x shots x gates, that
-#: `experiment` or `verify` starts; a larger run exits 2 before it starts.
-#: The largest documented runs are far below it: `experiment --all --n 4
-#: --shots 1000` is about 1.8e7 for QMA1 and `verify` at n = 7 about 1.7e6
-#: for QMA1.  `--full-basis` runs about four times the estimate.
+#: Most work per adder, inputs x shots x gates, that `experiment` or
+#: `verify` starts; a larger run exits 2 before it starts.  The inputs
+#: are (2^n + 1)^2, or (2^(n+1))^2 under `--full-basis`.  The largest
+#: documented runs are far below it: `experiment --all --n 4 --shots 1000`
+#: is about 1.8e7 for QMA1 and `verify` at n = 7 about 1.7e6 for QMA1.
 MAX_WORK = 10**10
+
+#: Most rows per adder, one per input, that `experiment` holds and prints;
+#: a larger run exits 2 before it starts.  It admits n <= 9, or n <= 8
+#: under `--full-basis`; `verify` checks its inputs in chunks and has no
+#: such bound.
+MAX_ROWS = 2**19
 
 
 def _variant(token: str) -> AdderVariant:
@@ -118,16 +124,26 @@ def _check_width(n: int) -> None:
         )
 
 
-def _check_work(n: int, shots: int, circuits) -> None:
-    """Usage error for a run of more than MAX_WORK.  `circuits` is only
-    drawn from when (2^n + 1)^2 x shots alone fits, so the adders built to
-    count gates stay small."""
+def _check_work(n: int, shots: int, circuits, full_basis: bool = False,
+                max_rows: int | None = None) -> None:
+    """Usage error for a run of more than MAX_WORK, or of more than
+    `max_rows` inputs per adder.  `circuits` is only drawn from when
+    inputs x shots alone fits, so the adders built to count gates stay
+    small."""
     if n < 1:
         return  # build_qma rejects it
-    lanes = ((1 << n) + 1) ** 2 * shots
+    if full_basis:  # every register pattern, as run_experiment runs them
+        inputs, basis = (2 << n) ** 2, "(2^(n+1))^2"
+    else:
+        inputs, basis = ((1 << n) + 1) ** 2, "(2^n + 1)^2"
+    if max_rows is not None and inputs > max_rows:
+        raise QmodaddError(
+            f"run too large: {inputs} rows per adder at n={n} is over MAX_ROWS={max_rows}"
+        )
+    lanes = inputs * shots
     if lanes > MAX_WORK or lanes * max(len(c.gates) for c in circuits) > MAX_WORK:
         raise QmodaddError(
-            f"run too large: (2^n + 1)^2 x shots x gates at n={n}, shots={shots} "
+            f"run too large: {basis} x shots x gates at n={n}, shots={shots} "
             f"is over MAX_WORK={MAX_WORK:.0e}"
         )
 
@@ -219,7 +235,8 @@ def cmd_experiment(args) -> int:
     noise = _parse_noise(args.noise)
     seed = _default_seed(args)
     _check_width(args.n)
-    _check_work(args.n, args.shots, (build_qma(v, args.n).circuit for v in variants))
+    _check_work(args.n, args.shots, (build_qma(v, args.n).circuit for v in variants),
+                full_basis=args.full_basis, max_rows=MAX_ROWS)
     rows = run_sweep(
         variants,
         args.n,

@@ -6,8 +6,6 @@ against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, InvalidN
 
 
@@ -38,51 +36,3 @@ def mod_add(n: int, a: int, b: int) -> int:
         return 0
     return total % modulus
 
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Bit-level view of (a + b + 1) mod (2**n + 1).
-
-    total        a + b, an (n+2)-bit value
-    low          total mod 2**n
-    overflow_bit bit n+1 of total
-    high_bit     bit n of total
-    nor_bit      1 iff both of the two top bits are 0
-    folded_sum   low + overflow_bit * 2**n (total with bit n dropped)
-    modulo_sum   folded_sum + nor_bit, the final result
-    """
-
-    n: int
-    a: int
-    b: int
-    total: int
-    low: int
-    overflow_bit: int
-    high_bit: int
-    nor_bit: int
-    folded_sum: int
-    modulo_sum: int
-
-
-def decompose(n: int, a: int, b: int) -> Decomposition:
-    """Evaluate the drop-bit-n identity step by step."""
-    _check_instance(n, a, b)
-    total = a + b
-    low = total % (1 << n)
-    overflow_bit = (total >> (n + 1)) & 1
-    high_bit = (total >> n) & 1
-    nor_bit = 1 - (overflow_bit | high_bit)
-    folded_sum = low + (overflow_bit << n)
-    modulo_sum = folded_sum + nor_bit
-    return Decomposition(
-        n=n,
-        a=a,
-        b=b,
-        total=total,
-        low=low,
-        overflow_bit=overflow_bit,
-        high_bit=high_bit,
-        nor_bit=nor_bit,
-        folded_sum=folded_sum,
-        modulo_sum=modulo_sum,
-    )

@@ -160,7 +160,7 @@ def test_criterion_5_reset_purification_law():
             )
             p = effective_reset_error(delta, k)
             sigma = math.sqrt(p * (1 - p) / shots)
-            observed = hist.counts.get(1, 0) / shots
+            observed = hist.get(1, 0) / shots
             if abs(observed - p) > 3 * sigma:
                 out_of_band.append((delta, k, observed, p))
     assert not out_of_band, out_of_band

@@ -35,7 +35,7 @@ def test_duplicate_operand_rejected():
 
 
 def test_circuit_rejects_out_of_range_operands():
-    assert len(Circuit(3, (x(0),))) == 1
+    assert len(Circuit(3, (x(0),)).gates) == 1
     with pytest.raises(OperandOutOfRange):
         Circuit(3, (x(0), toffoli(0, 1, 5)))
     with pytest.raises(OperandOutOfRange):

@@ -322,11 +322,25 @@ def no_runs(monkeypatch):
     ["build", "qma1", "--n", str((MAX_WIDTH - 5) // 3 + 1)],
     ["verify", "--all", "--n", "1..99999999999999999999"],
     ["verify", "--all", "--n", "1..14"],
+    # Over MAX_ROWS inputs per adder, though under MAX_WORK:
+    ["experiment", "qma1", "--n", "10", "--shots", "1"],
+    ["experiment", "qma1", "--n", "9", "--shots", "1", "--full-basis"],
+    # (2^8 + 1)^2 x 1000 x 119 gates is 7.9e9, under MAX_WORK, but the
+    # (2^9)^2 register patterns that --full-basis runs make it 3.1e10.
+    ["experiment", "qma1", "--n", "8", "--shots", "1000", "--full-basis"],
 ])
 def test_oversized_run_is_refused_before_it_starts(capsys, no_runs, argv):
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout) == (2, "")
     assert stderr.startswith("error: ") and "too large" in stderr
+
+
+def test_run_bounds_admit_the_largest_experiments():
+    for n, full_basis in ((9, False), (8, True)):
+        circuits = [build_qma(v, n).circuit for v in AdderVariant]
+        cli._check_work(n, 1, circuits, full_basis=full_basis, max_rows=cli.MAX_ROWS)
+    cli._check_work(8, 1000, [build_qma(AdderVariant.QMA1, 8).circuit],
+                    max_rows=cli.MAX_ROWS)
 
 
 def test_width_check_admits_the_widest_n_that_parses_back():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodadd.errors import DomainError, InvalidN
-from qmodadd.oracle import decompose, mod_add, mod_add_plus_one
+from qmodadd.oracle import mod_add, mod_add_plus_one
 
 
 @pytest.mark.parametrize(
@@ -38,21 +38,6 @@ def test_domain_errors():
         mod_add(0, 0, 0)
 
 
-def test_decompose_examples():
-    d = decompose(4, 5, 7)
-    assert (d.total, d.low, d.overflow_bit, d.high_bit, d.nor_bit, d.modulo_sum) == (
-        12, 12, 0, 0, 1, 13,
-    )
-    d = decompose(4, 10, 6)
-    assert (d.total, d.low, d.overflow_bit, d.high_bit, d.nor_bit, d.modulo_sum) == (
-        16, 0, 0, 1, 0, 0,
-    )
-    d = decompose(4, 16, 16)
-    assert (d.total, d.low, d.overflow_bit, d.high_bit, d.nor_bit, d.modulo_sum) == (
-        32, 0, 1, 0, 0, 16,
-    )
-
-
 def test_three_evaluations_agree_exhaustively():
     for n in range(1, 7):
         modulus = (1 << n) + 1
@@ -60,10 +45,6 @@ def test_three_evaluations_agree_exhaustively():
             for b in range(modulus):
                 naive = (a + b + 1) % modulus
                 assert mod_add_plus_one(n, a, b) == naive
-                d = decompose(n, a, b)
-                assert d.modulo_sum == naive
-                assert d.folded_sum == d.low + (d.overflow_bit << n)
-                assert 0 <= d.modulo_sum <= 1 << n
 
 
 @given(
@@ -77,7 +58,6 @@ def test_identity_and_offset_relation(n, data):
     b = data.draw(st.integers(min_value=0, max_value=limit))
     naive = (a + b + 1) % (limit + 1)
     assert mod_add_plus_one(n, a, b) == naive
-    assert decompose(n, a, b).modulo_sum == naive
     assert 0 <= naive <= limit
     # decrementing one operand by 1 mod (2^n + 1) converts between the ops
     a_prev = (a + limit) % (limit + 1)

@@ -106,7 +106,7 @@ def test_noiseless_monte_carlo_degenerates_to_exact():
     hist = run_noisy(built.circuit, bits, ZERO, shots=100, seed=1)
     exact = run_exact(built.circuit, bits)
     value = decode(exact, range(len(exact)))
-    assert hist.counts == {value: 100}
+    assert hist == {value: 100}
 
 
 def test_reset_run_collapses_to_purified_error():
@@ -115,7 +115,7 @@ def test_reset_run_collapses_to_purified_error():
     hist = run_noisy(circuit, [0], NoiseModel(delta_reset=0.1), shots, seed=11)
     p = effective_reset_error(0.1, 2)
     sigma = math.sqrt(p * (1 - p) / shots)
-    assert abs(hist.counts.get(1, 0) / shots - p) <= 3 * sigma
+    assert abs(hist.get(1, 0) / shots - p) <= 3 * sigma
 
 
 def test_independent_reset_model_keeps_raw_error():
@@ -126,7 +126,7 @@ def test_independent_reset_model_keeps_raw_error():
         reset_model="independent",
     )
     sigma = math.sqrt(0.1 * 0.9 / shots)
-    assert abs(hist.counts.get(1, 0) / shots - 0.1) <= 3 * sigma
+    assert abs(hist.get(1, 0) / shots - 0.1) <= 3 * sigma
 
 
 def test_interrupted_reset_runs_do_not_collapse():
@@ -137,7 +137,7 @@ def test_interrupted_reset_runs_do_not_collapse():
         readout=[0],
     )
     sigma = math.sqrt(0.2 * 0.8 / 50_000)
-    assert abs(hist.counts.get(1, 0) / 50_000 - 0.2) <= 4 * sigma
+    assert abs(hist.get(1, 0) / 50_000 - 0.2) <= 4 * sigma
 
 
 def test_error_rate_monotone_in_noise_parameter():
@@ -147,7 +147,7 @@ def test_error_rate_monotone_in_noise_parameter():
         hist = run_noisy(
             circuit, [0, 0], NoiseModel(p_cnot=p), 100_000, seed=3, readout=[1]
         )
-        rates.append(hist.counts.get(1, 0))
+        rates.append(hist.get(1, 0))
     assert rates[1] > rates[0]
     rates = []
     for p in (0.01, 0.05):
@@ -156,7 +156,7 @@ def test_error_rate_monotone_in_noise_parameter():
             Circuit(2, (x(0),)), [0, 0], NoiseModel(p_idle=p), 100_000,
             seed=3, readout=[1],
         )
-        rates.append(hist.counts.get(1, 0))
+        rates.append(hist.get(1, 0))
     assert rates[1] > rates[0]
 
 
@@ -224,7 +224,7 @@ def test_idle_flip_rate_is_exactly_bernoulli(p):
     hist = run_noisy(Circuit(2, (x(0),)), [0, 0], NoiseModel(p_idle=p), shots,
                      seed=17, readout=[1])
     sigma = math.sqrt(p * (1 - p) / shots)
-    assert abs(hist.counts.get(1, 0) / shots - p) <= 3 * sigma
+    assert abs(hist.get(1, 0) / shots - p) <= 3 * sigma
 
 
 @pytest.mark.parametrize("p", [0.3, 0.01])
@@ -250,12 +250,14 @@ def test_run_noisy_memory_is_bounded_by_blocks():
     built = build_qma(AdderVariant.QMA1, 4)
     tracemalloc.start()
     try:
-        run_noisy(built.circuit, built.encode(5, 7), DEFAULT_NOISE, 1_000_000,
-                  seed=3, readout=list(built.layout.mod_wires))
+        hist = run_noisy(built.circuit, built.encode(5, 7), DEFAULT_NOISE, 1_000_000,
+                         seed=3, readout=list(built.layout.mod_wires))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+    # 10^6 shots span 31 blocks of _BLOCK_LANES; their counts add up to the shots.
+    assert sum(hist.values()) == 1_000_000
 
 
 def test_noisy_modes_match_run_noisy_on_one_input():
@@ -265,8 +267,8 @@ def test_noisy_modes_match_run_noisy_on_one_input():
         bits = built.encode(a, b)
         hist = run_noisy(built.circuit, bits, DEFAULT_NOISE, 300, seed=5,
                          readout=readout)
-        best = max(hist.counts.values())
-        mode = min(v for v, c in hist.counts.items() if c == best)
+        best = max(hist.values())
+        mode = min(v for v, c in hist.items() if c == best)
         assert noisy_modes(built.circuit, bits, DEFAULT_NOISE, 300, 5,
                            readout=readout).tolist() == [mode]
 
