@@ -17,25 +17,24 @@ from .errors import ArityMismatch, DuplicateOperand, OperandOutOfRange
 
 
 class GateKind(Enum):
-    X = "x"
-    CNOT = "cx"
-    TOFFOLI = "ccx"
-    RESET = "reset"
+    """Gate kind; the value is the QASM statement name, `arity` the operand count."""
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self]
+    X = ("x", 1)
+    CNOT = ("cx", 2)
+    TOFFOLI = ("ccx", 3)
+    RESET = ("reset", 1)
+
+    def __new__(cls, name: str, arity: int):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.arity = arity
+        return member
+
+    # Members are singletons; Enum's own __hash__ runs Python code per call.
+    __hash__ = object.__hash__
 
 
-_ARITY = {
-    GateKind.X: 1,
-    GateKind.CNOT: 2,
-    GateKind.TOFFOLI: 3,
-    GateKind.RESET: 1,
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One operation: kind plus ordered operand wires.
 
@@ -47,7 +46,8 @@ class Gate:
     operands: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "operands", tuple(self.operands))
+        if type(self.operands) is not tuple:
+            object.__setattr__(self, "operands", tuple(self.operands))
         if len(self.operands) != self.kind.arity:
             raise ArityMismatch(
                 f"{self.kind.name} takes {self.kind.arity} operands, "

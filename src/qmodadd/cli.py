@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .analyzer import analyze, compare
 from .builders import AdderVariant, BuiltAdder, build_qma, decode
+from .circuits import GateKind
 from .errors import QmodaddError
 from .metrics import run_sweep
 from .oracle import mod_add_plus_one
@@ -168,10 +169,10 @@ def cmd_build(args) -> int:
             raise OSError(f"cannot write {args.output}: {err}")
     else:
         sys.stdout.write(text)
-    report = analyze(built.circuit)
+    count = built.circuit.count
     print(
-        f"{built.variant.value}: width={report.width} cnot={report.cnot_count} "
-        f"toffoli={report.toffoli_count} resets={report.reset_count}",
+        f"{built.variant.value}: width={built.circuit.width} cnot={count(GateKind.CNOT)} "
+        f"toffoli={count(GateKind.TOFFOLI)} resets={count(GateKind.RESET)}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -14,6 +14,7 @@ import re
 from .builders import AdderVariant, BuiltAdder, RegisterLayout
 from .circuits import Circuit, Gate, GateKind
 from .errors import (
+    ArityMismatch,
     DuplicateOperand,
     QasmSyntaxError,
     SubsetViolation,
@@ -56,14 +57,12 @@ def export_qasm(built: BuiltAdder) -> str:
 def export_circuit(circuit: Circuit) -> str:
     """Serialize a bare circuit (no layout metadata)."""
     lines = ["OPENQASM 3.0;", f"qubit[{circuit.width}] q;"]
-    lines.extend(_gate_line(g) for g in circuit.gates)
+    lines.extend(_TEMPLATES[g.kind].format(*g.operands) for g in circuit.gates)
     return "\n".join(lines) + "\n"
 
 
-def _gate_line(gate: Gate) -> str:
-    args = ", ".join(f"q[{w}]" for w in gate.operands)
-    return f"{gate.kind.value} {args};"
-
+#: kind -> its statement with one `q[{}]` per operand, e.g. "cx q[{}], q[{}];"
+_TEMPLATES = {k: f"{k.value} {', '.join(['q[{}]'] * k.arity)};" for k in GateKind}
 
 _LAYOUT_RE = re.compile(r"^//\s*layout:\s*(\{.*\})\s*$")
 _STMT_RE = re.compile(
@@ -76,6 +75,9 @@ _QUBIT_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
+    Text in exactly `export_qasm`'s form is read in one regex pass; any other
+    text goes to the line parser, which gives the same result or diagnostic.
+
     The first layout comment is all or nothing: only a usable one (see
     `_parse_layout`) yields the layout and sets the label to the variant.
 
@@ -84,6 +86,51 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """
     if not isinstance(text, str):
         raise QasmSyntaxError("input is not text", 1, 1)
+    blob, width, gates = _scan_exported(text) or _scan_lines(text)
+    meta = None if blob is None else _parse_layout(blob, width)
+    if meta is None:
+        return Circuit(width, tuple(gates)), None
+    layout, variant = meta
+    return Circuit(width, tuple(gates), label=variant.value), layout
+
+
+# The exact export form.  Digits are ASCII and bounded, so int() never
+# meets its digit limit; the blob is printable ASCII, so it holds none of
+# the separators str.splitlines() breaks on.
+_DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
+_EXPORTED_HEAD = re.compile(
+    rf"(?:// layout: (\{{[ -~]*\}})\n)?OPENQASM 3\.0;\nqubit\[{_DIGITS}\] q;\n"
+)
+_EXPORTED_GATE = re.compile(
+    rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;\n"
+)
+
+
+def _scan_exported(text: str) -> tuple[str | None, int, list[Gate]] | None:
+    """(blob, width, gates) if `text` is in export form and passes every check."""
+    head = _EXPORTED_HEAD.match(text)
+    if head is None or int(head.group(2)) > MAX_WIDTH:
+        return None
+    blob, width, pos = head.group(1), int(head.group(2)), head.end()
+    gates = []
+    try:
+        for match in _EXPORTED_GATE.finditer(text, pos):
+            if match.start() != pos:
+                return None
+            pos = match.end()
+            name, a, b, c = match.groups()
+            operands = (int(a),) if b is None else (
+                (int(a), int(b)) if c is None else (int(a), int(b), int(c)))
+            if max(operands) >= width:
+                return None
+            gates.append(Gate(_KINDS[name], operands))
+    except (ArityMismatch, DuplicateOperand):
+        return None
+    return (blob, width, gates) if pos == len(text) else None
+
+
+def _scan_lines(text: str) -> tuple[str | None, int, list[Gate]]:
+    """(blob, width, gates) of any text, read line by line."""
     blob: str | None = None
     width: int | None = None
     saw_version = False
@@ -128,11 +175,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
         raise QasmSyntaxError("empty program: missing version line", 1, 1)
     if width is None:
         raise QasmSyntaxError("missing qubit declaration", 1, 1)
-    meta = None if blob is None else _parse_layout(blob, width)
-    if meta is None:
-        return Circuit(width, tuple(gates)), None
-    layout, variant = meta
-    return Circuit(width, tuple(gates), label=variant.value), layout
+    return blob, width, gates
 
 
 def _parse_statement(line: str, line_no: int, width: int) -> Gate:

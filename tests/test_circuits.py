@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -18,6 +19,33 @@ from qmodadd.circuits import (
 )
 from qmodadd.errors import ArityMismatch, DuplicateOperand, OperandOutOfRange
 from qmodadd.sim import run_exact
+
+
+def test_gate_kind_values_and_arities():
+    assert GateKind("cx") is GateKind.CNOT
+    assert {kind.name: (kind.value, kind.arity) for kind in GateKind} == {
+        "X": ("x", 1),
+        "CNOT": ("cx", 2),
+        "TOFFOLI": ("ccx", 3),
+        "RESET": ("reset", 1),
+    }
+
+
+def test_gate_is_a_frozen_value():
+    gate = Gate(GateKind.CNOT, [0, 1])
+    assert gate.operands == (0, 1)
+    assert type(gate.operands) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.operands = (1, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gate.kind = GateKind.X
+    assert gate == cnot(0, 1)
+    assert hash(gate) == hash(cnot(0, 1))
+    assert len({gate, cnot(0, 1), Gate(GateKind.CNOT, (1, 0))}) == 2
+    with pytest.raises(ArityMismatch):
+        Gate(GateKind.TOFFOLI, [0, 1])
+    with pytest.raises(DuplicateOperand):
+        Gate(GateKind.CNOT, [3, 3])
 
 
 def test_gate_arity_checked():

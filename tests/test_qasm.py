@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmodadd import qasm
 from qmodadd.builders import AdderVariant, build_qma
 from qmodadd.circuits import Circuit, GateKind, x
 from qmodadd.errors import (
@@ -166,3 +168,78 @@ def test_fuzz_arbitrary_bytes_decoded(blob):
         parse_qasm(blob.decode("latin-1"))
     except QmodaddError:
         pass
+
+
+def _outcome(text):
+    """parse_qasm's result, or the type and message of what it raised."""
+    try:
+        return parse_qasm(text)
+    except QmodaddError as err:
+        return type(err), str(err)
+
+
+#: what the differential fuzz inserts: whitespace, every separator that
+#: str.splitlines() breaks on, comments, punctuation, operands and a
+#: non-ASCII digit
+_INSERTS = (
+    " ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "// c\n", "//", ";", ",", "[", "]", "{", "}", "q[0]",
+    ", q[1]", "123456", "9" * 5000, "\u0663",
+)
+
+
+def _mutate(rng, text, width):
+    for _ in range(rng.randrange(1, 4)):
+        pos = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.5:
+            text = text[:pos] + rng.choice(_INSERTS) + text[pos:]
+        elif roll < 0.7:
+            text = text[:pos] + text[pos + rng.randrange(1, 4):]
+        else:
+            # Rewrite the width or one operand: out of range, repeated,
+            # too wide or gone.
+            pattern = r"qubit\[(\d+)\]" if rng.random() < 0.2 else r"(?:, )?q\[(\d+)\]"
+            targets = list(re.finditer(pattern, text))
+            if not targets:
+                continue
+            match = rng.choice(targets)
+            new = rng.choice([
+                str(width), str(width - 1), "0", "00", str(MAX_WIDTH + 1),
+                "123456", "9" * 5000, targets[0].group(1), None,
+            ])
+            if new is None:
+                text = text[:match.start()] + text[match.end():]
+            else:
+                text = text[:match.start(1)] + new + text[match.end(1):]
+    return text
+
+
+def test_fast_path_agrees_with_the_line_parser(monkeypatch):
+    rng = random.Random(11)
+    sources = [export_qasm(build_qma(v, n)) for v in AdderVariant for n in (1, 2)]
+    sources += [export_circuit(build_qma(v, 1).circuit) for v in AdderVariant]
+    texts = []
+    for _ in range(5000):
+        source = rng.choice(sources)
+        width = int(re.search(r"qubit\[(\d+)\]", source).group(1))
+        texts.append(_mutate(rng, source, width) if rng.random() < 0.9 else source)
+    fast = sum(qasm._scan_exported(text) is not None for text in texts)
+    outcomes = [_outcome(text) for text in texts]
+    monkeypatch.setattr(qasm, "_scan_exported", lambda text: None)
+    mismatches = [
+        text for text, got in zip(texts, outcomes) if _outcome(text) != got
+    ]
+    assert mismatches == []
+    assert 500 < fast < 4000  # both paths were exercised
+
+
+def test_fast_path_reads_every_export():
+    for n in range(1, 97):
+        for variant in AdderVariant:
+            built = build_qma(variant, n)
+            text = export_qasm(built)
+            blob, width, gates = qasm._scan_exported(text)
+            assert (width, tuple(gates)) == (built.circuit.width, built.circuit.gates)
+            assert blob is not None and text.startswith(f"// layout: {blob}\n")
+    assert qasm._scan_exported(export_circuit(built.circuit))[0] is None
