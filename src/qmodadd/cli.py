@@ -53,8 +53,10 @@ MAX_WORK = 10**10
 
 #: Most rows per adder, one per input, that `experiment` holds and prints;
 #: a larger run exits 2 before it starts.  It admits n <= 9, or n <= 8
-#: under `--full-basis`; `verify` checks its inputs in chunks and has no
-#: such bound.
+#: under `--full-basis`.  Every adder's rows are held as integer arrays,
+#: but only one adder's rows exist as Python lists while they are written,
+#: so the bound is per adder and not per run.  `verify` checks its inputs
+#: in chunks and has no such bound.
 MAX_ROWS = 2**19
 
 
@@ -147,6 +149,12 @@ def _check_work(n: int, shots: int, circuits, full_basis: bool = False,
             f"run too large: {basis} x shots x gates at n={n}, shots={shots} "
             f"is over MAX_WORK={MAX_WORK:.0e}"
         )
+
+
+def _rows(per_input: np.ndarray) -> list[list[int | None]]:
+    """An `ErrorReport.per_input` array as output rows, with None for the
+    -1 that marks an unscored ideal or ed."""
+    return [[None if cell < 0 else cell for cell in row] for row in per_input.tolist()]
 
 
 def _selected_variants(args) -> list[AdderVariant]:
@@ -252,16 +260,9 @@ def cmd_experiment(args) -> int:
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["variant", "a", "b", "ideal", "observed", "ed"])
-        for row in rows:
-            for item in row.error.per_input:
-                writer.writerow(
-                    [
-                        row.error.variant.value, item.a, item.b,
-                        "" if item.ideal is None else item.ideal,
-                        item.observed,
-                        "" if item.ed is None else item.ed,
-                    ]
-                )
+        for row in rows:  # csv writes None as ""
+            variant = row.error.variant.value
+            writer.writerows([variant, *cells] for cells in _rows(row.error.per_input))
     else:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -282,7 +283,9 @@ def cmd_experiment(args) -> int:
                 for row in rows
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # Each `per_input` array becomes rows only as it is written.
+        json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=_rows)
+        sys.stdout.write("\n")
     if args.check_ordering:
         nmeds = [row.error.nmed for row in rows]
         if any(late >= early for early, late in zip(nmeds, nmeds[1:])):

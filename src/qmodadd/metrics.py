@@ -17,38 +17,32 @@ import numpy as np
 from .analyzer import ResourceReport, analyze, round2
 from .builders import AdderVariant, build_qma
 from .errors import EmptyInput, InvalidSMax, UnknownOption
-from .oracle import mod_add, mod_add_plus_one
 from .sim import NoiseModel, noisy_modes
 
 
-def error_distance(ideal: int, observed: int) -> int:
+def error_distance(ideal, observed):
+    """|ideal - observed|, for ints or elementwise for integer arrays."""
     return abs(ideal - observed)
 
 
-def aggregate(eds: list[int], s_max: int) -> tuple[Fraction, Fraction]:
-    """Mean error distance and its normalization by s_max, both exact."""
-    if not eds:
+def aggregate(eds, s_max: int) -> tuple[Fraction, Fraction]:
+    """Mean error distance and its normalization by s_max, both exact;
+    `eds` is a list or an integer array."""
+    if len(eds) == 0:
         raise EmptyInput("no error distances to aggregate")
     if s_max < 1:
         raise InvalidSMax(f"s_max={s_max} must be >= 1")
-    med = Fraction(sum(eds), len(eds))
+    med = Fraction(int(np.sum(eds)), len(eds))
     return med, med / s_max
-
-
-@dataclass(frozen=True)
-class InputResult:
-    a: int
-    b: int
-    ideal: int | None  # None for unscored out-of-domain rows
-    observed: int
-    ed: int | None
 
 
 @dataclass(frozen=True)
 class ErrorReport:
     variant: AdderVariant
     n: int
-    per_input: tuple[InputResult, ...]
+    #: One int64 row per input, in input order: the columns a, b, ideal,
+    #: observed, ed.  Unscored `full_basis` rows hold -1 as ideal and ed.
+    per_input: np.ndarray
     med: Fraction
     nmed: Fraction
     n_inputs: int
@@ -71,10 +65,7 @@ class ErrorReport:
             "seed": self.seed,
             "ideal_convention": self.ideal_convention,
             "sum_med": None if self.sum_med is None else str(self.sum_med),
-            "per_input": [
-                [row.a, row.b, row.ideal, row.observed, row.ed]
-                for row in self.per_input
-            ],
+            "per_input": self.per_input,
         }
 
 
@@ -118,38 +109,22 @@ def run_experiment(
         reset_model=reset_model,
     )
 
-    rows: list[InputResult] = []
-    eds: list[int] = []
-    sum_eds: list[int] = []
-    mod_mask = (1 << len(mod_wires)) - 1
-    for a_i, b_i, enc_a, valid, winner in zip(
-        a.tolist(), b.tolist(), encoded_a.tolist(), in_domain.tolist(), winners.tolist()
-    ):
-        if not valid:
-            ideal = None
-        elif pre_decrement:
-            ideal = mod_add(n, a_i, b_i)
-        else:
-            ideal = mod_add_plus_one(n, a_i, b_i)
-        observed = winner & mod_mask
-        ed = error_distance(ideal, observed) if ideal is not None else None
-        rows.append(InputResult(a=a_i, b=b_i, ideal=ideal, observed=observed, ed=ed))
-        if ed is not None:
-            eds.append(ed)
-        if score_sum and valid:
-            sum_eds.append(error_distance(enc_a + b_i, winner >> len(mod_wires)))
-
-    med, nmed = aggregate(eds, limit)
+    mod_bits = len(mod_wires)
+    ideal = np.where(in_domain, (a + b + (0 if pre_decrement else 1)) % (limit + 1), -1)
+    observed = winners & ((1 << mod_bits) - 1)
+    ed = np.where(in_domain, error_distance(ideal, observed), -1)
+    med, nmed = aggregate(ed[in_domain], limit)
     sum_med = None
     if score_sum:
-        sum_med = Fraction(sum(sum_eds), len(sum_eds))
+        sum_ed = error_distance(encoded_a + b, winners >> mod_bits)
+        sum_med, _ = aggregate(sum_ed[in_domain], limit)
     return ErrorReport(
         variant=variant,
         n=n,
-        per_input=tuple(rows),
+        per_input=np.column_stack((a, b, ideal, observed, ed)),
         med=med,
         nmed=nmed,
-        n_inputs=len(eds),
+        n_inputs=int(in_domain.sum()),
         s_max=limit,
         shots=shots,
         seed=seed,

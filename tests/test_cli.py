@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -341,6 +345,29 @@ def test_run_bounds_admit_the_largest_experiments():
         cli._check_work(n, 1, circuits, full_basis=full_basis, max_rows=cli.MAX_ROWS)
     cli._check_work(8, 1000, [build_qma(AdderVariant.QMA1, 8).circuit],
                     max_rows=cli.MAX_ROWS)
+
+
+def _peak_rss(*argv) -> int:
+    """Peak RSS of one `qmodadd` run in a fresh process, output discarded."""
+    script = ("import resource, sys; from qmodadd.cli import main; "
+              "code = main(sys.argv[1:]); sys.stdout.flush(); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+              "sys.exit(code)")
+    src = str(Path(qmodadd.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return int(proc.stderr.split()[-1])
+
+
+@pytest.mark.slow
+def test_experiment_memory_does_not_grow_with_the_adder_count():
+    # Rows are held per adder as arrays and written one adder at a time,
+    # so --all peaks near a single adder's run (it was 1.77x at n = 7).
+    one = _peak_rss("experiment", "qma1", "--n", "7", "--shots", "1")
+    every = _peak_rss("experiment", "--all", "--n", "7", "--shots", "1")
+    assert every < 1.3 * one
 
 
 def test_width_check_admits_the_widest_n_that_parses_back():

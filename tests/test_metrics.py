@@ -1,15 +1,21 @@
+import json
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qmodadd.builders import AdderVariant
+from qmodadd.cli import main
 from qmodadd.errors import EmptyInput, InvalidSMax, UnknownOption
 from qmodadd.metrics import aggregate, error_distance, run_experiment, run_sweep
+from qmodadd.oracle import mod_add, mod_add_plus_one
 from qmodadd.sim import DEFAULT_NOISE, NoiseModel
 
 ZERO = NoiseModel()
 DELTA_ONLY = NoiseModel(delta_reset=0.2)
+# The columns of ErrorReport.per_input.
+A, B, IDEAL, OBSERVED, ED = range(5)
 
 
 def test_error_distance():
@@ -27,6 +33,14 @@ def test_aggregate_exact_rationals():
     assert (med, nmed) == (16, 1)
 
 
+def test_aggregate_accepts_integer_arrays():
+    med, nmed = aggregate(np.array([4, 0, 2]), 16)
+    assert (med, nmed) == (Fraction(2), Fraction(1, 8))
+    assert type(med) is Fraction and type(nmed) is Fraction
+    with pytest.raises(EmptyInput):
+        aggregate(np.array([], dtype=np.int64), 16)
+
+
 def test_aggregate_validation():
     with pytest.raises(EmptyInput):
         aggregate([], 16)
@@ -40,7 +54,7 @@ def test_noiseless_experiment_is_exact(variant):
     assert report.nmed == 0
     assert report.med == 0
     assert report.n_inputs == 25
-    assert all(row.ed == 0 for row in report.per_input)
+    assert (report.per_input[:, ED] == 0).all()
 
 
 def test_delta_only_channel_separates_dynamic_variants():
@@ -62,7 +76,7 @@ def test_pre_decrement_convention_scores_plain_modular_sum():
     )
     assert report.nmed == 0
     # ideal column now follows (a + b) mod (2^n + 1)
-    by_input = {(row.a, row.b): row.ideal for row in report.per_input}
+    by_input = {(row[A], row[B]): row[IDEAL] for row in report.per_input.tolist()}
     assert by_input[(8, 1)] == 0
     assert by_input[(3, 4)] == 7
 
@@ -81,9 +95,39 @@ def test_full_basis_reports_unscored_rows():
     valid = ((1 << n) + 1) ** 2
     assert len(report.per_input) == total
     assert report.n_inputs == valid
-    unscored = [row for row in report.per_input if row.ideal is None]
+    unscored = report.per_input[report.per_input[:, IDEAL] == -1]
     assert len(unscored) == total - valid
-    assert all(row.ed is None for row in unscored)
+    assert (unscored[:, ED] == -1).all()
+
+
+@pytest.mark.parametrize("full_basis", [False, True])
+@pytest.mark.parametrize(
+    "convention, oracle", [("plus-one", mod_add_plus_one), ("pre-decrement", mod_add)]
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_printed_rows_match_the_oracle(capsys, n, convention, oracle, full_basis):
+    # Scored ideals come from vectorised arithmetic on the original a; the
+    # oracle judges them.  Unscored rows print as null (JSON) and "" (CSV).
+    argv = ["experiment", "qma3", "--n", str(n), "--shots", "1", "--seed", "4",
+            "--ideal-convention", convention] + (["--full-basis"] if full_basis else [])
+    assert main(argv) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    limit = 1 << n
+    span = 2 * limit if full_basis else limit + 1
+    assert len(row["per_input"]) == len(lines) == span * span
+    scored = 0
+    for cells, line in zip(row["per_input"], lines):
+        a, b, ideal, observed, ed = cells
+        if a <= limit and b <= limit:
+            assert ideal == oracle(n, a, b)
+            assert ed == abs(ideal - observed)
+            scored += 1
+        else:
+            assert ideal is None and ed is None
+        assert line.split(",") == ["qma3"] + ["" if c is None else str(c) for c in cells]
+    assert scored == row["n_inputs"] == (limit + 1) ** 2
 
 
 def test_score_sum_register():
@@ -118,7 +162,7 @@ def test_reported_metrics_match_raw_rows():
     base = rows[0].error.nmed
     assert base > 0
     for row in rows:
-        eds = [r.ed for r in row.error.per_input]
+        eds = [r[ED] for r in row.error.per_input.tolist()]
         med, nmed = aggregate(eds, row.error.s_max)
         assert (med, nmed) == (row.error.med, row.error.nmed)
         assert row.nmed_drop_pct == round2(100 * (base - nmed) / base)
