@@ -13,12 +13,14 @@ wire; a wire holds an int or an integer array with one lane per input
 The noisy engine, `noisy_modes` for many inputs and `run_noisy` for
 one, runs every (input x shot) lane of a call together: input-major
 lanes in blocks of at most `_BLOCK_LANES`, a wire-major uint8 state, on
-a schedule compiled once per circuit.  A block may cut through one
-input's shots; the counts add up across blocks.  After each layer, the
-cells (wire, lane) of each flip group (the wires of one gate kind, one
-reset run length, or the idle wires) draw k ~ Binomial(cells, p) and
-flip a uniform k-subset chosen without replacement, which flips every
-cell independently with probability exactly p.  One generator,
+a schedule compiled once per (circuit, noise, reset model) that holds
+every flip probability resolved; groups with p = 0 are dropped, which
+leaves the draws unchanged.  A block may cut through one input's shots;
+the counts add up across blocks.  After each layer, the cells (wire,
+lane) of each flip group (the wires of one gate kind, one reset run
+length, or the idle wires) draw k ~ Binomial(cells, p) and flip a
+uniform k-subset chosen without replacement, which flips every cell
+independently with probability exactly p.  One generator,
 `SeedSequence(seed)`, serves the whole call.  This random stream
 replaced a per-input, dense-draw stream in version 0.2.0.
 """
@@ -30,7 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, compute_layering
-from .errors import InvalidProbability, InvalidShots, LengthMismatch, UnknownOption
+from .errors import (
+    DomainError, InvalidProbability, InvalidShots, LengthMismatch, UnknownOption,
+)
 
 
 def run_exact(circuit: Circuit, bits: list) -> list:
@@ -111,11 +115,13 @@ def effective_reset_error(delta: float, k: int) -> float:
     if not 0.0 <= delta < 0.5:
         raise InvalidProbability(f"delta={delta} outside [0, 0.5)")
     if k < 1:
-        raise InvalidShots(f"reset count k={k} must be >= 1")
+        raise DomainError(f"reset count k={k} must be >= 1")
     if delta == 0.0:
         return 0.0
     hi = delta**k
     lo = (1.0 - delta) ** k
+    if lo == 0.0:  # both underflow: divide through by (1 - delta)^k
+        hi, lo = (delta / (1.0 - delta)) ** k, 1.0
     return hi / (hi + lo)
 
 
@@ -138,13 +144,15 @@ _CHANNEL = {GateKind.X: "p_x", GateKind.CNOT: "p_cnot",
 
 
 @lru_cache(maxsize=64)
-def _schedule(circuit: Circuit, reset_model: str):
-    """ASAP layers of `(gates, flip groups)`.  A flip group `(channel,
-    run, wires)` lists the wires that flip with one probability after the
-    layer: the operands of its gates of one kind, its reset runs of one
-    length, or its idle wires; `channel` names the NoiseModel field.
-    Under "purify" a run of same-wire resets, no other gate on that wire
-    in between, is one gate with its length; else every run is 1."""
+def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str):
+    """ASAP layers of `(gates, ((p, wires), ...))`: after the layer each
+    group's wires flip with probability p, resolved here once.  A group is
+    the operands of one gate kind (p is its NoiseModel field), of one reset
+    run length k (p = effective_reset_error(delta, k)) or the idle wires.
+    k counts same-wire resets, no other gate on that wire between, under
+    "purify", else k = 1.  A group with p = 0 draws nothing; it is left out."""
+    if reset_model not in ("purify", "independent"):
+        raise UnknownOption(f"unknown reset model {reset_model!r}")
     steps: list[tuple[Gate, int]] = []
     open_runs: dict[int, int] = {}  # wire -> index of its reset run in `steps`
     for gate in circuit.gates:
@@ -172,9 +180,14 @@ def _schedule(circuit: Circuit, reset_model: str):
             groups["p_idle", 1] = idle
         flips = []
         for (channel, run), wires in groups.items():
+            p = getattr(noise, channel)
+            if run > 1:  # a purified reset run
+                p = effective_reset_error(p, run)
+            if p == 0.0:
+                continue
             wires = np.array(wires)
             wires.flags.writeable = False  # the cache hands it to every call
-            flips.append((channel, run, wires))
+            flips.append((p, wires))
         layers.append((tuple(steps[index][0] for index in layer), tuple(flips)))
     return tuple(layers)
 
@@ -190,23 +203,27 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
         )
     if shots < 1:
         raise InvalidShots(f"shots={shots} must be >= 1")
-    if reset_model not in ("purify", "independent"):
-        raise UnknownOption(f"unknown reset model {reset_model!r}")
+    if seed < 0:
+        raise DomainError(f"seed={seed} is negative (a seed must be >= 0)")
     readout = list(range(circuit.width)) if readout is None else list(readout)
     for wire in readout:
         if not 0 <= wire < circuit.width:
             raise LengthMismatch(f"readout wire {wire} outside circuit")
-    table = np.array(np.broadcast_arrays(*bits), dtype=np.uint8).reshape(len(bits), -1)
+    try:
+        lanes = np.broadcast_arrays(*bits)
+    except ValueError:  # numpy's "shape mismatch"
+        raise LengthMismatch("input lane arrays differ in length") from None
+    table = np.array(lanes, dtype=np.uint8).reshape(len(bits), -1)
     if len(readout) + (table.shape[1] - 1).bit_length() > 64:
         raise LengthMismatch(
             f"{len(readout)} readout wires x {table.shape[1]} inputs overflow 64-bit keys"
         )
-    layers = _schedule(circuit, reset_model)
+    layers = _schedule(circuit, noise, reset_model)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     total = table.shape[1] * shots
     blocks = [
         np.unique(_lane_keys(table, start, min(start + _BLOCK_LANES, total), shots,
-                             layers, noise, rng, readout), return_counts=True)
+                             layers, rng, readout), return_counts=True)
         for start in range(0, total, _BLOCK_LANES)
     ]
     # Only an input cut by a block edge repeats a key; merge once at the end.
@@ -217,7 +234,7 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
     return readout, keys, counts
 
 
-def _lane_keys(table, start, stop, shots, layers, noise, rng, readout) -> np.ndarray:
+def _lane_keys(table, start, stop, shots, layers, rng, readout) -> np.ndarray:
     """Simulate lanes start..stop of the input-major lanes of `table`
     (wire x input bits); returns each lane's `input << len(readout) | value`."""
     lanes = stop - start
@@ -228,12 +245,7 @@ def _lane_keys(table, start, stop, shots, layers, noise, rng, readout) -> np.nda
     for gates, flips in layers:
         for gate in gates:
             _apply(state, gate)
-        for channel, run, wires in flips:
-            p = getattr(noise, channel)
-            if run > 1:  # a purified reset run
-                p = effective_reset_error(p, run)
-            if p == 0.0:
-                continue
+        for p, wires in flips:
             # k ~ Binomial(N, p) cells out of N, then a uniform k-subset:
             # every cell flips independently with probability exactly p.
             hit = rng.choice(

@@ -217,6 +217,7 @@ _GOLDEN_ARGV = (
     + [_EXPERIMENT + ["--format", fmt] + extra
        for fmt in ("json", "csv")
        for extra in ([], ["--noise", "zero"], ["--noise", "gate=0.1", "x=0.2"],
+                     ["--noise", "x=0", "delta=0"],
                      ["--reset-model", "independent", "--full-basis", "--score-sum"])]
     + [["verify", "--n", "1", "--qasm", "/nonexistent.qasm"],
        ["verify", "--n", "1", "--qasm", "/"],
@@ -232,7 +233,7 @@ def test_golden_cli_digest(capsys):
     Change the digest only together with a stated change of output."""
     runs = [[argv, *run_cli(capsys, *argv)] for argv in _GOLDEN_ARGV]
     digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
-    assert digest == "11b8af92804ca1efca9b4528b93d91ced18100f240f24c979eb29589caf6edd3"
+    assert digest == "c6f70830e156d14d37dbc3e0dd1d100146151ead78f603d9b5dec8a3ade39eb1"
 
 
 def test_verify_all_small(capsys):

@@ -9,12 +9,15 @@ from test_circuits import reset_free_circuits
 
 from qmodadd.builders import AdderVariant, build_qma, decode
 from qmodadd.circuits import Circuit, cnot, reset, toffoli, x
-from qmodadd.errors import InvalidProbability, InvalidShots, LengthMismatch, UnknownOption
+from qmodadd.errors import (
+    DomainError, InvalidProbability, InvalidShots, LengthMismatch, UnknownOption,
+)
 from qmodadd.sim import (
     DEFAULT_NOISE,
     NoiseModel,
     _BLOCK_LANES,
     _modes,
+    _schedule,
     _tally,
     effective_reset_error,
     noisy_modes,
@@ -88,8 +91,25 @@ class TestEffectiveResetError:
             effective_reset_error(0.5, 1)
         with pytest.raises(InvalidProbability):
             effective_reset_error(-0.1, 1)
-        with pytest.raises(InvalidShots):
+        with pytest.raises(DomainError):
             effective_reset_error(0.1, 0)
+
+    def test_long_runs_do_not_underflow_to_a_crash(self):
+        # 0.4^1500 and 0.6^1500 both underflow to 0.0; the ratio does not.
+        p = effective_reset_error(0.4, 1500)
+        assert 0.0 < p == pytest.approx(math.exp(1500 * math.log(2 / 3)), rel=1e-9)
+        assert effective_reset_error(0.001, 10**6) == 0.0
+        hist = run_noisy(Circuit(1, (reset(0),) * 1500), [1],
+                         NoiseModel(delta_reset=0.4), 100, seed=0)
+        assert hist == {0: 100}
+
+    @pytest.mark.parametrize("delta", [0.001, 0.12, 0.3, 0.4, 0.49])
+    def test_finite_values_keep_the_direct_formula(self, delta):
+        # Bit for bit: any other rounding would move the random stream.
+        for k in (1, 2, 3, 10, 100, 1000):
+            hi, lo = delta**k, (1.0 - delta) ** k
+            if lo > 0.0:
+                assert effective_reset_error(delta, k) == hi / (hi + lo)
 
 
 def test_noise_model_probability_bounds():
@@ -184,10 +204,31 @@ def test_run_noisy_validation():
         run_noisy(circuit, [0, 0], ZERO, 1, seed=0, readout=[5])
     with pytest.raises(UnknownOption):
         run_noisy(circuit, [0, 0], ZERO, 1, seed=0, reset_model="other")
+    with pytest.raises(DomainError, match="seed=-1"):
+        run_noisy(circuit, [0, 0], ZERO, 1, seed=-1)
+    with pytest.raises(DomainError, match="seed=-1"):
+        noisy_modes(circuit, [np.array([0, 1]), 0], ZERO, 1, seed=-1)
+    with pytest.raises(LengthMismatch, match="differ in length"):
+        noisy_modes(circuit, [np.array([0, 1]), np.array([0, 1, 1])], ZERO, 1, seed=0)
     with pytest.raises(LengthMismatch):  # readout values are 64-bit keys
         run_noisy(Circuit(65), [0] * 65, ZERO, 1, seed=0)
     with pytest.raises(LengthMismatch, match="noisy_modes"):  # one input only
         run_noisy(Circuit(1, (x(0),)), [np.array([0, 1])], ZERO, 3, seed=1)
+
+
+def test_schedule_cache_tells_noise_models_apart():
+    # One circuit and seed under two noise models, run in both orders on
+    # a cold cache: a schedule cached by circuit alone would leak the
+    # first model's probabilities into the second run.
+    circuit, loud = Circuit(2, (x(0),)), NoiseModel(p_idle=0.3)
+    seen = []
+    for order in ((loud, ZERO), (ZERO, loud)):
+        _schedule.cache_clear()
+        seen.append({noise: run_noisy(circuit, [0, 0], noise, 2000, seed=8)
+                     for noise in order})
+    assert seen[0] == seen[1]
+    assert seen[0][ZERO] == {0b01: 2000}
+    assert set(seen[0][loud]) == {0b01, 0b11}  # wire 1 idles and flips
 
 
 def test_exact_simulation_scales_to_wide_adders():
