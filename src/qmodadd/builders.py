@@ -8,6 +8,8 @@ folds the two top sum bits into a correction bit on the first result
 wire.  The paper's steps are then three branches: QMA1's second stage is
 a full adder, the others use a half-adder increment; QMA3 resets and
 reuses b wires as the result register; QMA4 resets each of them twice.
+The full adder builds each distinct gate once and appends that one
+object at every position where it occurs.
 
 Wire budget per variant, for operand size n:
 
@@ -95,13 +97,8 @@ def build_nor_gadget(x_wire: int, y_wire: int, target: int) -> list[Gate]:
     One Toffoli wrapped in four NOTs; target is assumed |0>.
     """
     _require_distinct([x_wire, y_wire, target], "nor gadget")
-    return [
-        x(x_wire),
-        x(y_wire),
-        toffoli(x_wire, y_wire, target),
-        x(x_wire),
-        x(y_wire),
-    ]
+    flips = [x(x_wire), x(y_wire)]
+    return [*flips, toffoli(x_wire, y_wire, target), *flips]
 
 
 def build_full_adder(
@@ -129,30 +126,31 @@ def build_full_adder(
     _require_distinct(a_wires + b_wires + [carry_out], "full adder")
 
     recv, keep = a_wires, b_wires
-    gates: list[Gate] = []
     if w == 1:
-        gates.append(toffoli(keep[0], recv[0], carry_out))
-        gates.append(cnot(keep[0], recv[0]))
-        return gates
+        return [toffoli(keep[0], recv[0], carry_out), cnot(keep[0], recv[0])]
 
+    # Each distinct gate is built once and appended wherever it occurs.
+    sums = [cnot(k, r) for k, r in zip(keep, recv)]
+    cascade = {i: cnot(keep[i], keep[i + 1]) for i in range(1, w - 1)}
+    carries = [toffoli(keep[i], recv[i], keep[i + 1]) for i in range(w - 1)]
+    gates: list[Gate] = []
     # Descending ripple: parity onto the receiver, prefix cascade on keep.
     for i in range(w - 1, 0, -1):
-        gates.append(cnot(keep[i], recv[i]))
-        if i <= w - 2:
-            gates.append(cnot(keep[i], keep[i + 1]))
+        gates.append(sums[i])
+        if i in cascade:
+            gates.append(cascade[i])
     # Ascending carry computation.
-    for i in range(w - 1):
-        gates.append(toffoli(keep[i], recv[i], keep[i + 1]))
+    gates += carries
     gates.append(toffoli(keep[w - 1], recv[w - 1], carry_out))
     # Descending carry extraction and uncomputation.
     for i in range(w - 1, 0, -1):
-        gates.append(cnot(keep[i], recv[i]))
-        gates.append(toffoli(keep[i - 1], recv[i - 1], keep[i]))
+        gates.append(sums[i])
+        gates.append(carries[i - 1])
     # Ascending finish: sum bits and cascade undo, woven.
     for i in range(w):
-        gates.append(cnot(keep[i], recv[i]))
-        if 1 <= i <= w - 2:
-            gates.append(cnot(keep[i], keep[i + 1]))
+        gates.append(sums[i])
+        if i in cascade:
+            gates.append(cascade[i])
     # Carry-out completion; must come after keep[w-1] is restored.
     gates.append(cnot(keep[w - 1], carry_out))
     return gates

@@ -75,7 +75,8 @@ def reset(wire: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable ordered gate sequence over `width` wires."""
+    """Immutable ordered gate sequence over `width` wires.  A `Gate` is a
+    frozen value, so one object may sit at several positions."""
 
     width: int
     gates: tuple[Gate, ...] = ()
@@ -141,7 +142,16 @@ def _longest_path(width: int, gates: Iterable[Gate], kind: GateKind | None) -> i
     frontier = [0] * width  # wire -> count on longest path so far
     for gate in gates:
         wires = gate.operands
-        depth = max(map(frontier.__getitem__, wires)) + (kind in (None, gate.kind))
-        for w in wires:
-            frontier[w] = depth
+        step = kind is None or gate.kind is kind
+        if len(wires) == 2:  # unrolled by arity: plain reads, no calls or loop
+            a, b = wires
+            da, db = frontier[a], frontier[b]
+            frontier[a] = frontier[b] = (da if da > db else db) + step
+        elif len(wires) == 3:
+            a, b, c = wires
+            da, db, dc = frontier[a], frontier[b], frontier[c]
+            da = da if da > db else db
+            frontier[a] = frontier[b] = frontier[c] = (da if da > dc else dc) + step
+        else:
+            frontier[wires[0]] += step
     return max(frontier, default=0)

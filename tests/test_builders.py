@@ -136,6 +136,12 @@ class TestBuildQma:
                 digest.update(export_qasm(build_qma(variant, n)).encode())
         assert digest.hexdigest() == _GOLDEN_BUILD_SHA256
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_distinct_gate_is_one_object(self, n):
+        for variant in AdderVariant:
+            gates = build_qma(variant, n).circuit.gates
+            assert len({id(gate) for gate in gates}) == len(set(gates))
+
     def test_invalid_n(self):
         with pytest.raises(InvalidN):
             build_qma(AdderVariant.QMA1, 0)

@@ -2,7 +2,7 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qmodadd.circuits import (
     Circuit,
@@ -138,8 +138,8 @@ _WIRES = st.integers(min_value=0, max_value=5)
 
 
 @st.composite
-def _random_gate(draw):
-    kind = draw(st.sampled_from([GateKind.X, GateKind.CNOT, GateKind.TOFFOLI]))
+def _random_gate(draw, kinds=(GateKind.X, GateKind.CNOT, GateKind.TOFFOLI)):
+    kind = draw(st.sampled_from(kinds))
     wires = draw(
         st.lists(_WIRES, min_size=kind.arity, max_size=kind.arity, unique=True)
     )
@@ -150,6 +150,37 @@ def _random_gate(draw):
 def reset_free_circuits(draw):
     gates = draw(st.lists(_random_gate(), max_size=25))
     return Circuit(6, tuple(gates))
+
+
+@st.composite
+def circuits_with_resets(draw):
+    gates = draw(st.lists(_random_gate(tuple(GateKind)), max_size=25))
+    return Circuit(6, tuple(gates))
+
+
+def _dag_longest_path(gates, weight):
+    """Brute force: the heaviest path of the DAG with an edge i -> j for
+    every i < j whose gates share a wire, a node weighing weight(gate)."""
+    best = []
+    for j, gate in enumerate(gates):
+        before = [best[i] for i in range(j)
+                  if set(gates[i].operands) & set(gate.operands)]
+        best.append(max(before, default=0) + weight(gate))
+    return max(best, default=0)
+
+
+@given(circuits_with_resets())
+@example(Circuit(3, (reset(0), cnot(0, 1), reset(1), reset(1), toffoli(1, 2, 0), x(2))))
+@settings(max_examples=150, deadline=None)
+def test_depths_are_the_longest_paths_of_the_dependency_dag(circuit):
+    gates = circuit.gates
+    everything = _dag_longest_path(gates, lambda gate: 1)
+    assert total_depth(circuit) == len(compute_layering(circuit)) == everything
+    for kind in GateKind:
+        counted = _dag_longest_path(gates, lambda gate: gate.kind is kind)
+        assert path_depth(circuit, kind) == counted
+        kept = [gate for gate in gates if gate.kind is kind]
+        assert depth_by_kind(circuit, kind) == _dag_longest_path(kept, lambda gate: 1)
 
 
 @given(reset_free_circuits())

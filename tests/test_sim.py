@@ -216,6 +216,23 @@ def test_run_noisy_validation():
         run_noisy(Circuit(1, (x(0),)), [np.array([0, 1])], ZERO, 3, seed=1)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
+def test_noisy_engine_rejects_values_that_are_not_bits(bad):
+    # A uint8 cast would wrap these into readout values: 2 gave {6: 3},
+    # -1 gave {511: 3}, 256 gave {0: 3} and 0.5 truncated to 0.
+    circuit = Circuit(2, (cnot(0, 1),))
+    with pytest.raises(DomainError, match="0 or 1"):
+        run_noisy(circuit, [bad, 0], NoiseModel(), 3, 0)
+    with pytest.raises(DomainError, match="0 or 1"):
+        noisy_modes(circuit, [np.array([0, 1, bad]), 0], NoiseModel(), 3, 0)
+
+
+def test_noisy_modes_rejects_lane_arrays_of_two_dimensions():
+    circuit = Circuit(2, (cnot(0, 1),))
+    with pytest.raises(LengthMismatch, match="1-D"):
+        noisy_modes(circuit, [np.zeros((2, 2), dtype=int), 0], NoiseModel(), 3, 0)
+
+
 def test_schedule_cache_tells_noise_models_apart():
     # One circuit and seed under two noise models, run in both orders on
     # a cold cache: a schedule cached by circuit alone would leak the
