@@ -35,7 +35,7 @@ from .sim import (
     run_noisy,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AdderVariant",

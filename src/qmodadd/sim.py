@@ -12,20 +12,22 @@ wire; a wire holds an int or an integer array with one lane per input
 
 The noisy engine, `noisy_modes` for many inputs and `run_noisy` for
 one, runs every (input x shot) lane of a call together: input-major
-lanes in blocks of at most `_BLOCK_LANES`, a wire-major uint8 state, on
-a schedule compiled once per (circuit, noise, reset model) that holds
-every flip probability resolved; groups with p = 0 are dropped, which
-leaves the draws unchanged.  A block may cut through one input's shots;
-the counts add up across blocks.  After each layer, the cells (wire,
-lane) of each flip group (the wires of one gate kind, one reset run
-length, or the idle wires) draw k ~ Binomial(cells, p) and flip a
-uniform k-subset chosen without replacement, which flips every cell
-independently with probability exactly p.  One generator,
-`SeedSequence(seed)`, serves the whole call.  This random stream
-replaced a per-input, dense-draw stream in version 0.2.0.
+lanes in blocks of at most `_BLOCK_LANES`, a wire-major uint8 state
+whose rows are padded to a power of two.  A block may cut through one
+input's shots; the counts add up across blocks.  It draws from a
+schedule compiled once per (circuit, noise, reset model, readout) that
+holds one flip per wire segment inside the readout's light cone
+(`_schedule`), so the readout's law is the per-layer model's, with
+fewer draws.  The cells (wire, lane) of each group that shares a flip
+probability q draw k ~ Binomial(cells, q) and flip a uniform k-subset
+chosen without replacement, which flips every cell independently with
+probability exactly q.  One generator, `SeedSequence(seed)`, serves
+the whole call.  This random stream replaced a per-layer one in
+version 0.3.0 and a per-input, dense-draw one in version 0.2.0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -33,7 +35,8 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, compute_layering
 from .errors import (
-    DomainError, InvalidProbability, InvalidShots, LengthMismatch, UnknownOption,
+    DomainError, EmptyInput, InvalidProbability, InvalidShots, LengthMismatch,
+    UnknownOption,
 )
 
 
@@ -131,10 +134,12 @@ def effective_reset_error(delta: float, k: int) -> float:
 _BLOCK_LANES = 1 << 15
 
 #: What `experiment` output records about the engine and its random stream.
-ENGINE = f"input-major input x shot lanes, {_BLOCK_LANES} per block"
+ENGINE = (f"input-major input x shot lanes, {_BLOCK_LANES} per block, "
+          "rows padded to a power of two")
 RNG_SCHEME = (
-    "PCG64(SeedSequence(seed)) per call; per layer and flip group: "
-    "k ~ Binomial(cells, p), then k cells without replacement"
+    "PCG64(SeedSequence(seed)) per call; one flip per wire segment in the "
+    "readout's light cone; per step and flip probability q: "
+    "k ~ Binomial(cells, q), then k cells without replacement"
 )
 
 
@@ -144,13 +149,23 @@ _CHANNEL = {GateKind.X: "p_x", GateKind.CNOT: "p_cnot",
 
 
 @lru_cache(maxsize=64)
-def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str):
-    """ASAP layers of `(gates, ((p, wires), ...))`: after the layer each
-    group's wires flip with probability p, resolved here once.  A group is
-    the operands of one gate kind (p is its NoiseModel field), of one reset
-    run length k (p = effective_reset_error(delta, k)) or the idle wires.
-    k counts same-wire resets, no other gate on that wire between, under
-    "purify", else k = 1.  A group with p = 0 draws nothing; it is left out."""
+def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str,
+              readout: tuple[int, ...] | None = None):
+    """Steps of `(gates, ((q, wires), ...))`: after a step's gates, each
+    group's wires flip with probability q, resolved here once.  Step 0 has
+    no gates; step L + 1 holds ASAP layer L of the effective gate list.
+
+    A wire's segment runs from a layer where a gate touches it (or from
+    the start) to the next such layer (or the end).  Its flips commute
+    with every gate in between, so their XOR is one flip, put in the
+    step that opens the segment: q = (1 - (1 - 2 p_open)(1 - 2 p_idle)^m)
+    / 2 for m idle layers, where p_open is the opening gate kind's
+    NoiseModel field, effective_reset_error(delta, k) for a run of k
+    resets, or 0 at the start.  k counts same-wire resets, no other gate
+    on that wire between, under "purify", else k = 1.  A segment is left
+    out if q = 0 or its wire is outside the light cone of `readout` (all
+    wires if None) at its flip: no later gate carries the wire's value
+    into the readout before a reset erases it."""
     if reset_model not in ("purify", "independent"):
         raise UnknownOption(f"unknown reset model {reset_model!r}")
     steps: list[tuple[Gate, int]] = []
@@ -167,29 +182,49 @@ def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str):
             for wire in gate.operands:
                 open_runs.pop(wire, None)
         steps.append((gate, 1))
-    effective = Circuit(circuit.width, tuple(gate for gate, _ in steps))
-    layers = []
-    for layer in compute_layering(effective):
-        groups: dict[tuple, list[int]] = {}
-        for index in layer:
-            gate, run = steps[index]
-            groups.setdefault((_CHANNEL[gate.kind], run), []).extend(gate.operands)
-        busy = {wire for wires in groups.values() for wire in wires}
-        idle = [wire for wire in range(circuit.width) if wire not in busy]
-        if idle:
-            groups["p_idle", 1] = idle
-        flips = []
-        for (channel, run), wires in groups.items():
-            p = getattr(noise, channel)
+    layers = [[steps[index] for index in layer]
+              for layer in compute_layering(Circuit(circuit.width, tuple(g for g, _ in steps)))]
+    # Walk back from the readout: `cone` holds the wires whose value after
+    # the current step can reach it, ends[w] the step that closes wire w's
+    # segment.
+    cone = set(range(circuit.width) if readout is None else readout)
+    ends = [len(layers) + 1] * circuit.width
+    groups: list[dict[float, list[int]]] = [{} for _ in range(len(layers) + 1)]
+    idle = math.log1p(-2.0 * noise.p_idle)
+
+    def segment(step: int, wire: int, p_open: float) -> None:
+        # -expm1(log1p(.)) / 2 keeps q accurate where q is tiny.
+        q = -math.expm1(math.log1p(-2.0 * p_open) + (ends[wire] - step - 1) * idle) / 2.0
+        if q > 0.0 and wire in cone:
+            groups[step].setdefault(q, []).append(wire)
+        ends[wire] = step
+
+    for step in range(len(layers), 0, -1):
+        for gate, run in layers[step - 1]:
+            p = getattr(noise, _CHANNEL[gate.kind])
             if run > 1:  # a purified reset run
                 p = effective_reset_error(p, run)
-            if p == 0.0:
-                continue
+            for wire in gate.operands:
+                segment(step, wire, p)
+            # The layer's gates share no wire, so the cone may change gate by gate.
+            target = gate.operands[-1]
+            if target in cone:
+                if gate.kind is GateKind.RESET:
+                    cone.discard(target)
+                else:
+                    cone.update(gate.operands)
+    for wire in range(circuit.width):
+        segment(0, wire, 0.0)
+    schedule = []
+    for gates, flips in zip([()] + [tuple(g for g, _ in layer) for layer in layers], groups):
+        resolved = []
+        for q, wires in flips.items():
             wires = np.array(wires)
             wires.flags.writeable = False  # the cache hands it to every call
-            flips.append((p, wires))
-        layers.append((tuple(steps[index][0] for index in layer), tuple(flips)))
-    return tuple(layers)
+            resolved.append((q, wires))
+        if gates or resolved:
+            schedule.append((gates, tuple(resolved)))
+    return tuple(schedule)
 
 
 def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
@@ -209,13 +244,17 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
     for wire in readout:
         if not 0 <= wire < circuit.width:
             raise LengthMismatch(f"readout wire {wire} outside circuit")
+    if not circuit.width:
+        raise EmptyInput("a circuit of no wires has no input to run")
     try:
         lanes = np.broadcast_arrays(*bits)
     except ValueError:  # numpy's "shape mismatch"
         raise LengthMismatch("input lane arrays differ in length") from None
+    if lanes[0].size == 0:
+        raise EmptyInput("no inputs to run")
     # Checked before the uint8 cast, which would wrap them.  A compare with
     # a scalar adds 128 KiB to peak RSS on first use; min and max add none.
-    if lanes and lanes[0].ndim > 1:
+    if lanes[0].ndim > 1:
         raise LengthMismatch(f"input lanes have shape {lanes[0].shape}; want 1-D")
     for lane in lanes:
         if lane.dtype.kind not in "biu" or (
@@ -227,12 +266,12 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
         raise LengthMismatch(
             f"{len(readout)} readout wires x {table.shape[1]} inputs overflow 64-bit keys"
         )
-    layers = _schedule(circuit, noise, reset_model)
+    schedule = _schedule(circuit, noise, reset_model, tuple(readout))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     total = table.shape[1] * shots
     blocks = [
         np.unique(_lane_keys(table, start, min(start + _BLOCK_LANES, total), shots,
-                             layers, rng, readout), return_counts=True)
+                             schedule, rng, readout), return_counts=True)
         for start in range(0, total, _BLOCK_LANES)
     ]
     # Only an input cut by a block edge repeats a key; merge once at the end.
@@ -243,29 +282,35 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
     return readout, keys, counts
 
 
-def _lane_keys(table, start, stop, shots, layers, rng, readout) -> np.ndarray:
+def _lane_keys(table, start, stop, shots, schedule, rng, readout) -> np.ndarray:
     """Simulate lanes start..stop of the input-major lanes of `table`
-    (wire x input bits); returns each lane's `input << len(readout) | value`."""
+    (wire x input bits); returns each lane's `input << len(readout) | value`.
+    Rows are padded to 2**shift lanes, copies of the last that nothing
+    reads, so a cell index splits into (wire, lane) by shift and mask."""
     lanes = stop - start
+    shift = (lanes - 1).bit_length()
     inputs = np.arange(start // shots, (stop - 1) // shots + 1)
     repeats = np.minimum(stop, (inputs + 1) * shots) - np.maximum(start, inputs * shots)
-    state = np.repeat(table[:, inputs[0]:inputs[-1] + 1], repeats, axis=1)
-    cells = state.reshape(-1)  # a view: cell w * lanes + j is wire w, lane j
-    for gates, flips in layers:
+    padded = repeats.copy()
+    padded[-1] += (1 << shift) - lanes
+    state = np.repeat(table[:, inputs[0]:inputs[-1] + 1], padded, axis=1)
+    cells = state.reshape(-1)  # a view: cell w << shift | j is wire w, lane j
+    mask = (1 << shift) - 1
+    for gates, flips in schedule:
         for gate in gates:
             _apply(state, gate)
-        for p, wires in flips:
-            # k ~ Binomial(N, p) cells out of N, then a uniform k-subset:
-            # every cell flips independently with probability exactly p.
+        for q, wires in flips:
+            # k ~ Binomial(N, q) cells out of N, then a uniform k-subset:
+            # every cell flips independently with probability exactly q.
             hit = rng.choice(
-                wires.size * lanes, rng.binomial(wires.size * lanes, p),
+                wires.size << shift, rng.binomial(wires.size << shift, q),
                 replace=False, shuffle=False,
             )
-            cells[wires[hit // lanes] * lanes + hit % lanes] ^= 1
+            cells[(wires[hit >> shift] << shift) | (hit & mask)] ^= 1
     keys = np.repeat(inputs.astype(np.uint64), repeats)
     for wire in reversed(readout):  # in place: no lane-sized temporaries
         keys <<= np.uint64(1)
-        keys |= state[wire]
+        keys |= state[wire, :lanes]
     return keys
 
 
@@ -316,8 +361,10 @@ def run_noisy(
     probability, and each wire untouched in a layer with p_idle.  In the
     default "purify" reset model, runs of k consecutive resets on one
     wire act as a single preparation with error effective_reset_error(
-    delta, k); in "independent" mode every reset errs on its own.
-    Deterministic in (circuit, bits, noise, shots, seed).
+    delta, k); in "independent" mode every reset errs on its own.  The
+    readout follows this model in law; the draws are one flip per wire
+    segment (module docstring).  Deterministic in (circuit, bits, noise,
+    shots, seed).
     """
     if any(np.ndim(bit) for bit in bits):
         raise LengthMismatch("run_noisy takes one input; use noisy_modes for many")

@@ -233,7 +233,7 @@ def test_golden_cli_digest(capsys):
     Change the digest only together with a stated change of output."""
     runs = [[argv, *run_cli(capsys, *argv)] for argv in _GOLDEN_ARGV]
     digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
-    assert digest == "c6f70830e156d14d37dbc3e0dd1d100146151ead78f603d9b5dec8a3ade39eb1"
+    assert digest == "833f32ee99109014ed8087938ac67b71ab416dd299d2c04f6c24c1691fb68790"
 
 
 def test_verify_all_small(capsys):

@@ -188,12 +188,12 @@ def test_nmed_converges_with_more_shots():
 @pytest.mark.parametrize(
     "noise, expected",
     [
-        (DEFAULT_NOISE, {"QMA1": "9/100", "QMA2": "1/100", "QMA3": "0", "QMA4": "0"}),
+        (DEFAULT_NOISE, {"QMA1": "7/50", "QMA2": "1/20", "QMA3": "0", "QMA4": "0"}),
         # Error-free resets draw nothing, and QMA4's doubled resets collapse
         # onto QMA3's layers, so the two agree draw for draw.
         (
             NoiseModel(p_idle=0.1),
-            {"QMA1": "61/100", "QMA2": "3/5", "QMA3": "11/20", "QMA4": "11/20"},
+            {"QMA1": "77/100", "QMA2": "1/2", "QMA3": "11/20", "QMA4": "11/20"},
         ),
     ],
 )

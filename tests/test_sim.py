@@ -4,13 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_circuits import reset_free_circuits
 
 from qmodadd.builders import AdderVariant, build_qma, decode
-from qmodadd.circuits import Circuit, cnot, reset, toffoli, x
+from qmodadd.circuits import (
+    Circuit, Gate, GateKind, compute_layering, cnot, reset, toffoli, x,
+)
 from qmodadd.errors import (
-    DomainError, InvalidProbability, InvalidShots, LengthMismatch, UnknownOption,
+    DomainError, EmptyInput, InvalidProbability, InvalidShots, LengthMismatch,
+    UnknownOption,
 )
 from qmodadd.sim import (
     DEFAULT_NOISE,
@@ -231,6 +235,129 @@ def test_noisy_modes_rejects_lane_arrays_of_two_dimensions():
     circuit = Circuit(2, (cnot(0, 1),))
     with pytest.raises(LengthMismatch, match="1-D"):
         noisy_modes(circuit, [np.zeros((2, 2), dtype=int), 0], NoiseModel(), 3, 0)
+
+
+@pytest.mark.parametrize("circuit, bits", [
+    (Circuit(1), [np.array([], dtype=int)]),  # numpy: "need at least one array"
+    (Circuit(0), []),  # numpy: "cannot reshape array of size 0"
+], ids=["no-inputs", "no-wires"])
+def test_noisy_modes_refuses_empty_input(circuit, bits):
+    with pytest.raises(EmptyInput):
+        noisy_modes(circuit, bits, NoiseModel(), 3, 0)
+
+
+def test_flips_outside_the_readout_light_cone_are_not_drawn():
+    # Wire 1 idles but is never read, so its flips are left out: the run
+    # draws nothing and matches the noiseless one for the same seed.
+    circuit = Circuit(2, (x(0),))
+    loud = run_noisy(circuit, [0, 0], NoiseModel(p_idle=0.3), 1000, seed=4, readout=[0])
+    assert loud == run_noisy(circuit, [0, 0], ZERO, 1000, seed=4, readout=[0])
+    assert loud == {1: 1000}
+
+
+def _permute(vector, gate, width):
+    """A probability vector over basis states after one gate."""
+    states = np.arange(vector.size)
+    after = run_exact(Circuit(width, (gate,)), [(states >> w) & 1 for w in range(width)])
+    index = sum(np.broadcast_to(bit, states.shape) << w for w, bit in enumerate(after))
+    return np.bincount(index, weights=vector, minlength=vector.size)
+
+
+def _flip(vector, wire, p):
+    return (1.0 - p) * vector + p * vector[np.arange(vector.size) ^ (1 << wire)]
+
+
+def _marginal(vector, readout):
+    states = np.arange(vector.size)
+    index = sum((((states >> w) & 1) << i for i, w in enumerate(readout)),
+                np.zeros_like(states))
+    return np.bincount(index, weights=vector, minlength=1 << len(readout))
+
+
+def _reference_marginal(circuit, noise, reset_model, readout, start):
+    """README's rule, layer by layer: after each ASAP layer of the
+    effective gates, each wire a gate touches flips with its kind's p (a
+    purified run of k resets with effective_reset_error(delta, k)), and
+    each other wire with p_idle."""
+    kept, runs, open_runs = [], [], {}
+    for gate in circuit.gates:
+        wire = gate.operands[0]
+        purify = reset_model == "purify" and gate.kind is GateKind.RESET
+        if purify and wire in open_runs:
+            runs[open_runs[wire]] += 1
+            continue
+        for w in gate.operands:
+            open_runs.pop(w, None)
+        if purify:
+            open_runs[wire] = len(kept)
+        kept.append(gate)
+        runs.append(1)
+    p = {GateKind.X: noise.p_x, GateKind.CNOT: noise.p_cnot,
+         GateKind.TOFFOLI: noise.p_toffoli, GateKind.RESET: noise.delta_reset}
+    vector = start
+    for layer in compute_layering(Circuit(circuit.width, tuple(kept))):
+        idle = set(range(circuit.width))
+        for index in layer:
+            vector = _permute(vector, kept[index], circuit.width)
+        for index in layer:
+            gate = kept[index]
+            flip = p[gate.kind] if runs[index] == 1 else effective_reset_error(
+                noise.delta_reset, runs[index])
+            for wire in gate.operands:
+                vector = _flip(vector, wire, flip)
+            idle -= set(gate.operands)
+        for wire in idle:
+            vector = _flip(vector, wire, noise.p_idle)
+    return _marginal(vector, readout)
+
+
+@st.composite
+def _noisy_runs(draw):
+    width = draw(st.integers(1, 5))
+    wires = st.integers(0, width - 1)
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from([k for k in GateKind if k.arity <= width]))
+        gates.append(Gate(kind, tuple(draw(
+            st.lists(wires, min_size=kind.arity, max_size=kind.arity, unique=True)))))
+    noise = NoiseModel(*(draw(st.just(0.0) | st.floats(0.0, 0.49)) for _ in range(5)))
+    reset_model = draw(st.sampled_from(["purify", "independent"]))
+    readout = draw(st.none() | st.lists(wires, max_size=width, unique=True))
+    weights = draw(st.lists(st.integers(0, 9), min_size=1 << width,
+                            max_size=1 << width).filter(any))
+    start = np.array(weights, dtype=float) / sum(weights)
+    return Circuit(width, tuple(gates)), noise, reset_model, readout, start
+
+
+@given(_noisy_runs())
+@settings(max_examples=200, deadline=None)
+def test_schedule_is_exact_on_the_readout(run):
+    # Seed-free: both sides propagate a probability vector over all 2^W
+    # basis states, so the readout laws must agree to rounding.
+    circuit, noise, reset_model, readout, start = run
+    steps = _schedule(circuit, noise, reset_model,
+                      None if readout is None else tuple(readout))
+    read = range(circuit.width) if readout is None else readout
+    vector = start
+    for gates, flips in steps:
+        for gate in gates:
+            vector = _permute(vector, gate, circuit.width)
+        for q, wires in flips:
+            for wire in wires.tolist():
+                vector = _flip(vector, wire, q)
+    expected = _reference_marginal(circuit, noise, reset_model, read, start)
+    assert np.abs(_marginal(vector, read) - expected).max() <= 1e-12
+    # No flip survives that the next gate on its wire resets, or that the
+    # circuit ends on without a read: the light cone drops both.
+    for index, (_, flips) in enumerate(steps):
+        for _, wires in flips:
+            for wire in wires.tolist():
+                later = [gate for gates, _ in steps[index + 1:] for gate in gates
+                         if wire in gate.operands]
+                if later:
+                    assert later[0].kind is not GateKind.RESET
+                else:
+                    assert wire in read
 
 
 def test_schedule_cache_tells_noise_models_apart():

@@ -1,6 +1,8 @@
 """Every public name has a caller inside the package or a use in the
-README example."""
+README example, and the package version is the one pyproject.toml
+declares."""
 import ast
+import re
 from pathlib import Path
 
 import qmodadd
@@ -48,3 +50,10 @@ def test_every_public_name_is_used_or_documented():
         and not any(name in _names_read(module, skip=name) for module in modules)
     ]
     assert unused == []
+
+
+def test_package_version_matches_pyproject():
+    # A regex, not tomllib: Python 3.10 has no tomllib.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert found is not None and found.group(1) == qmodadd.__version__
