@@ -3,13 +3,16 @@
 Subcommands: build, analyze, experiment, verify.  Machine-readable
 output goes to stdout (csv or json, selectable); diagnostics go to
 stderr.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
-3 ordering self-check failed, 4 verification mismatch.
+3 ordering self-check failed, 4 verification mismatch.  `main(argv)`
+returns the exit code and may be called repeatedly in one process; its
+parser is built on first use and shared, so callers must not mutate it.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -374,7 +377,9 @@ def _range_pair(token: str) -> tuple[int, int]:
     return pair
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="qmodadd",
         description="Build, analyze, simulate, and verify modulo (2^n + 1) adders.",

@@ -88,6 +88,52 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
+def _src_env() -> dict[str, str]:
+    """This environment with the package under test first on PYTHONPATH."""
+    src = str(Path(qmodadd.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _parsed(parser, argv):
+    """vars() of the Namespace `parser` makes of argv, or the SystemExit code."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _first_call_in_fresh_process(argv, env) -> tuple[int, str, str]:
+    script = "import sys; from qmodadd.cli import main; sys.exit(main(sys.argv[1:]))"
+    # Bytes, decoded without newline translation: csv output ends rows in \r\n.
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    """main shares one parser across calls; no call may leak into the next."""
+    monkeypatch.delenv("QMA_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width everywhere
+    qasm_path = tmp_path / "qma3.qasm"
+    qasm_path.write_text(export_qasm(build_qma(AdderVariant.QMA3, 2)))
+    experiment = ["experiment", "qma1", "--n", "1", "--shots", "2"]
+    sequence = [
+        [*experiment, "--noise", "idle=0.2"], experiment,
+        ["verify", "--qasm", str(qasm_path)], ["verify", "--all", "--n", "1..2"],
+        ["verify", "--all", "--n", "2..1"], ["analyze", "qma2", "--n", "3"],
+        ["--help"], ["build", "qma4", "--n", "2"],
+    ]
+    runs = [run_cli(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+    shared, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    env = _src_env()
+    for argv, run in zip(sequence, runs):
+        assert _parsed(shared, argv) == _parsed(fresh, argv), argv
+        assert run == _first_call_in_fresh_process(argv, env), argv
+
+
 def test_experiment_zero_noise(capsys):
     code, stdout, _ = run_cli(
         capsys, "experiment", "qma1", "--n", "1", "--shots", "20",
@@ -354,10 +400,7 @@ def _peak_rss(*argv) -> int:
               "code = main(sys.argv[1:]); sys.stdout.flush(); "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
               "sys.exit(code)")
-    src = str(Path(qmodadd.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_src_env(), check=True,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     return int(proc.stderr.split()[-1])
 
