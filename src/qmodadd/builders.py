@@ -26,6 +26,7 @@ order also fixes.  Reorder with care.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -180,12 +181,16 @@ def build_half_adder_increment(
     return gates
 
 
+@functools.lru_cache(maxsize=len(AdderVariant), typed=True)
 def build_qma(variant: AdderVariant, n: int) -> BuiltAdder:
     """Build one adder variant for operand size n >= 1.
 
     For every valid basis input (a, b) with 0 <= a, b <= 2^n, exact
     simulation reads (a + b + 1) mod (2^n + 1) on mod_wires and a + b on
     sum_wires.  QMA1/QMA2 also restore b.
+
+    The result is a shared frozen value: a process keeps its last four
+    builds, and a repeated call returns the same object.
     """
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")

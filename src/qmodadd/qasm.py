@@ -4,7 +4,8 @@ Export is deterministic byte-for-byte.  A structured leading comment
 (`// layout: {...}`) carries the register roles so a parsed file can be
 simulated and scored without rebuilding.  The parser is a small
 hand-rolled scanner that never raises anything but the diagnostic error
-types, whatever the input bytes.
+types, whatever the input bytes.  Equal statements in one parsed text share
+one `Gate` object, as the builders' gates do.
 """
 from __future__ import annotations
 
@@ -75,8 +76,9 @@ _QUBIT_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
-    Text in exactly `export_qasm`'s form is read in one regex pass; any other
-    text goes to the line parser, which gives the same result or diagnostic.
+    Text in exactly `export_qasm`'s form is read one distinct statement at a
+    time, and equal statements share one `Gate` object; any other text goes
+    to the line parser, which gives the same result or diagnostic.
 
     The first layout comment is all or nothing: only a usable one (see
     `_parse_layout`) yields the layout and sets the label to the variant.
@@ -101,32 +103,39 @@ _DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
 _EXPORTED_HEAD = re.compile(
     rf"(?:// layout: (\{{[ -~]*\}})\n)?OPENQASM 3\.0;\nqubit\[{_DIGITS}\] q;\n"
 )
-_EXPORTED_GATE = re.compile(
-    rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;\n"
+_EXPORTED_STMT = re.compile(
+    rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;"
 )
 
 
 def _scan_exported(text: str) -> tuple[str | None, int, list[Gate]] | None:
-    """(blob, width, gates) if `text` is in export form and passes every check."""
+    """(blob, width, gates) if `text` is in export form and passes every check.
+
+    Each distinct statement line is matched and checked once, and its one
+    `Gate` sits at every position where the line occurs.
+    """
     head = _EXPORTED_HEAD.match(text)
     if head is None or int(head.group(2)) > MAX_WIDTH:
         return None
-    blob, width, pos = head.group(1), int(head.group(2)), head.end()
-    gates = []
+    blob, width = head.group(1), int(head.group(2))
+    lines = text[head.end():].split("\n")
+    if lines.pop() != "":
+        return None
+    table = dict.fromkeys(lines)
     try:
-        for match in _EXPORTED_GATE.finditer(text, pos):
-            if match.start() != pos:
+        for line in table:
+            match = _EXPORTED_STMT.fullmatch(line)
+            if match is None:
                 return None
-            pos = match.end()
             name, a, b, c = match.groups()
             operands = (int(a),) if b is None else (
                 (int(a), int(b)) if c is None else (int(a), int(b), int(c)))
             if max(operands) >= width:
                 return None
-            gates.append(Gate(_KINDS[name], operands))
+            table[line] = Gate(_KINDS[name], operands)
     except (ArityMismatch, DuplicateOperand):
         return None
-    return (blob, width, gates) if pos == len(text) else None
+    return blob, width, list(map(table.__getitem__, lines))
 
 
 def _scan_lines(text: str) -> tuple[str | None, int, list[Gate]]:

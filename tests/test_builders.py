@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from qmodadd import cli
 from qmodadd.builders import (
     AdderVariant,
     build_full_adder,
@@ -141,6 +142,19 @@ class TestBuildQma:
         for variant in AdderVariant:
             gates = build_qma(variant, n).circuit.gates
             assert len({id(gate) for gate in gates}) == len(set(gates))
+
+    def test_repeated_build_is_one_shared_value(self):
+        assert build_qma(AdderVariant.QMA2, 3) is build_qma(AdderVariant.QMA2, 3)
+        # The cache is typed: an equal float is not answered from it.
+        with pytest.raises(TypeError):
+            build_qma(AdderVariant.QMA2, 3.0)
+
+    def test_experiment_all_builds_each_adder_once(self, capsys):
+        # The call asks for each adder three times: its work check,
+        # run_experiment and run_sweep's resource report.
+        build_qma.cache_clear()
+        assert cli.main(["experiment", "--all", "--n", "2", "--shots", "5"]) == 0
+        assert build_qma.cache_info().misses == len(AdderVariant)
 
     def test_invalid_n(self):
         with pytest.raises(InvalidN):

@@ -224,6 +224,15 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
         source = rng.choice(sources)
         width = int(re.search(r"qubit\[(\d+)\]", source).group(1))
         texts.append(_mutate(rng, source, width) if rng.random() < 0.9 else source)
+    # Edges of splitting the body on "\n": no final newline, a blank line
+    # between the last two statements, and "\r\n" line ends.
+    for source in sources:
+        lines = source.split("\n")
+        texts += [
+            source[:-1],
+            "\n".join(lines[:-2] + [""] + lines[-2:]),
+            source.replace("\n", "\r\n"),
+        ]
     fast = sum(qasm._scan_exported(text) is not None for text in texts)
     outcomes = [_outcome(text) for text in texts]
     monkeypatch.setattr(qasm, "_scan_exported", lambda text: None)
@@ -232,6 +241,15 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
     ]
     assert mismatches == []
     assert 500 < fast < 4000  # both paths were exercised
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_equal_statements_share_one_gate(n):
+    for variant in AdderVariant:
+        text = export_qasm(build_qma(variant, n))
+        gates = parse_qasm(text)[0].gates
+        statements = set(text.splitlines()[3:])
+        assert len({id(gate) for gate in gates}) == len(statements)
 
 
 def test_fast_path_reads_every_export():
