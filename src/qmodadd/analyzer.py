@@ -12,6 +12,11 @@ count of the CNOT-only subcircuit (`circuits.depth_by_kind`): it gives
 26 -> 14 at n = 4, the paper's 46.15 % drop, where the path measure
 would give 32 -> 17 (46.88 %).  The paper's full text is not at hand,
 so the CNOT choice rests on that one figure.
+
+`analyze` makes one walk over the gates (`circuits._walk`), which gives
+all four tallies at once: the count of each kind, the CNOT-only layer
+depth, the Toffoli path depth and the total depth.  `depth_by_kind`,
+`path_depth` and `total_depth` are views of the same walk.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from dataclasses import dataclass, asdict
 from decimal import Decimal, ROUND_HALF_EVEN
 from fractions import Fraction
 
-from .circuits import Circuit, GateKind, depth_by_kind, path_depth, total_depth
+from .circuits import Circuit, GateKind, _walk
 from .errors import EmptyInput
 
 
@@ -62,17 +67,19 @@ COMPARE_FIELDS = (
 
 
 def analyze(circuit: Circuit) -> ResourceReport:
-    toffoli_depth = path_depth(circuit, GateKind.TOFFOLI)
+    counts, cnot_depth, toffoli_depth, total_depth = _walk(
+        circuit, GateKind.TOFFOLI, GateKind.CNOT
+    )
     return ResourceReport(
         label=circuit.label,
         width=circuit.width,
-        cnot_count=circuit.count(GateKind.CNOT),
-        toffoli_count=circuit.count(GateKind.TOFFOLI),
-        x_count=circuit.count(GateKind.X),
-        reset_count=circuit.count(GateKind.RESET),
-        cnot_depth=depth_by_kind(circuit, GateKind.CNOT),
+        cnot_count=counts[GateKind.CNOT],
+        toffoli_count=counts[GateKind.TOFFOLI],
+        x_count=counts[GateKind.X],
+        reset_count=counts[GateKind.RESET],
+        cnot_depth=cnot_depth,
         toffoli_depth=toffoli_depth,
-        total_depth=total_depth(circuit),
+        total_depth=total_depth,
         fom=circuit.width * toffoli_depth,
     )
 

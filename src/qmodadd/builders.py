@@ -124,7 +124,7 @@ def build_full_adder(
         raise LengthMismatch(f"register sizes differ: {w} vs {len(b_wires)}")
     if w < 1:
         raise LengthMismatch("empty registers")
-    _require_distinct(a_wires + b_wires + [carry_out], "full adder")
+    _require_distinct([*a_wires, *b_wires, carry_out], "full adder")
 
     recv, keep = a_wires, b_wires
     if w == 1:
@@ -171,7 +171,7 @@ def build_half_adder_increment(
         raise LengthMismatch(
             f"need {w - 1} fresh wires for {w} value wires, got {len(fresh_wires)}"
         )
-    _require_distinct(v_wires + [c_wire] + fresh_wires, "half adder")
+    _require_distinct([*v_wires, c_wire, *fresh_wires], "half adder")
     out = [c_wire, *fresh_wires]
     gates: list[Gate] = []
     for i in range(w - 1):
@@ -179,6 +179,21 @@ def build_half_adder_increment(
         gates.append(cnot(v_wires[i], out[i]))
     gates.append(cnot(v_wires[w - 1], out[w - 1]))
     return gates
+
+
+def _increment_stage(carry: int, top: int, folded: tuple, result: tuple) -> list[Gate]:
+    """The NOR gadget, then the half-adder increment onto `result`."""
+    return [
+        *build_nor_gadget(carry, top, result[0]),
+        *build_half_adder_increment(folded, result[0], result[1:]),
+    ]
+
+
+@functools.lru_cache(maxsize=len(AdderVariant))
+def _stage(builder, *wires) -> tuple[Gate, ...]:
+    """`builder(*wires)` as a tuple, kept for the variants of one n that
+    share the stage: they build it once and hold the same `Gate` objects."""
+    return tuple(builder(*wires))
 
 
 @functools.lru_cache(maxsize=len(AdderVariant), typed=True)
@@ -214,23 +229,23 @@ def build_qma(variant: AdderVariant, n: int) -> BuiltAdder:
         result = list(range(fresh, fresh + w))
     sum_wires = a + [carry]
 
-    gates = build_full_adder(a, b, carry)
+    gates = list(_stage(build_full_adder, tuple(a), tuple(b), carry))
     if reuses_b:
         resets_per_wire = 2 if variant is AdderVariant.QMA4 else 1
         for wire in result:
             gates += [reset(wire)] * resets_per_wire
-    gates += build_nor_gadget(carry, a[n], result[0])
-    folded = a[:n] + [carry]
+    folded = (*a[:n], carry)
     if variant is AdderVariant.QMA1:
         # Second stage: full adder with the result register as the
         # receiving side, so the regular sum survives on its own wires.
         # Its carry out lands on an always-zero spill wire, kept for
         # reversibility.
         spill = fresh + w
+        gates += build_nor_gadget(carry, a[n], result[0])
         gates += build_full_adder(result, folded, spill)
         sum_wires.append(spill)
     else:
-        gates += build_half_adder_increment(folded, result[0], result[1:])
+        gates += _stage(_increment_stage, carry, a[n], folded, tuple(result))
 
     layout = RegisterLayout(
         n=n,

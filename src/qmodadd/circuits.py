@@ -5,13 +5,13 @@ A circuit is a fixed wire count plus an ordered gate list.  Layering
 comes in two measures: `depth_by_kind` layers the subcircuit of that kind
 alone, and `path_depth` counts the gates of that kind along the longest
 path of the full circuit's wire dependencies, so gates of other kinds
-(resets included) still order the ones it counts.
+(resets included) still order the ones it counts.  Both measures, the
+gate counts and the total depth all come from one walk over the gates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import ArityMismatch, DuplicateOperand, OperandOutOfRange
 
@@ -116,8 +116,7 @@ def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
 
 def depth_by_kind(circuit: Circuit, kind: GateKind) -> int:
     """Depth of the subcircuit keeping only gates of `kind`."""
-    kept = (g for g in circuit.gates if g.kind is kind)
-    return _longest_path(circuit.width, kept, None)
+    return _walk(circuit, kind, kind)[1]
 
 
 def path_depth(circuit: Circuit, kind: GateKind) -> int:
@@ -129,29 +128,52 @@ def path_depth(circuit: Circuit, kind: GateKind) -> int:
     depends on.  This is the T-depth style count of Amy, Maslov, Mosca
     and Roetteler (arXiv:1206.0758).
     """
-    return _longest_path(circuit.width, circuit.gates, kind)
+    return _walk(circuit, kind, kind)[2]
 
 
 def total_depth(circuit: Circuit) -> int:
     """ASAP layer count of the whole circuit: its longest dependency path."""
-    return _longest_path(circuit.width, circuit.gates, None)
+    return _walk(circuit, None, None)[3]
 
 
-def _longest_path(width: int, gates: Iterable[Gate], kind: GateKind | None) -> int:
-    """Most `kind` gates (any gates if kind is None) on one dependency path."""
-    frontier = [0] * width  # wire -> count on longest path so far
-    for gate in gates:
-        wires = gate.operands
-        step = kind is None or gate.kind is kind
+def _walk(
+    circuit: Circuit, path_kind: GateKind | None, layer_kind: GateKind | None
+) -> tuple[dict[GateKind, int], int, int, int]:
+    """Every resource tally of `circuit` from one pass over its gates:
+    (count of each kind, depth of the `layer_kind`-only subcircuit, most
+    `path_kind` gates on one dependency path, total depth)."""
+    counts = dict.fromkeys(GateKind, 0)
+    total = [0] * circuit.width  # wire -> longest path ending on it so far
+    path = [0] * circuit.width  # wire -> most path_kind gates on such a path
+    layer = [0] * circuit.width  # wire -> depth among layer_kind gates only
+    for gate in circuit.gates:
+        kind, wires = gate.kind, gate.operands
+        counts[kind] += 1
+        step = kind is path_kind
         if len(wires) == 2:  # unrolled by arity: plain reads, no calls or loop
             a, b = wires
-            da, db = frontier[a], frontier[b]
-            frontier[a] = frontier[b] = (da if da > db else db) + step
+            da, db = total[a], total[b]
+            total[a] = total[b] = (da if da > db else db) + 1
+            da, db = path[a], path[b]
+            path[a] = path[b] = (da if da > db else db) + step
+            if kind is layer_kind:
+                da, db = layer[a], layer[b]
+                layer[a] = layer[b] = (da if da > db else db) + 1
         elif len(wires) == 3:
             a, b, c = wires
-            da, db, dc = frontier[a], frontier[b], frontier[c]
+            da, db, dc = total[a], total[b], total[c]
             da = da if da > db else db
-            frontier[a] = frontier[b] = frontier[c] = (da if da > dc else dc) + step
+            total[a] = total[b] = total[c] = (da if da > dc else dc) + 1
+            da, db, dc = path[a], path[b], path[c]
+            da = da if da > db else db
+            path[a] = path[b] = path[c] = (da if da > dc else dc) + step
+            if kind is layer_kind:
+                da, db, dc = layer[a], layer[b], layer[c]
+                da = da if da > db else db
+                layer[a] = layer[b] = layer[c] = (da if da > dc else dc) + 1
         else:
-            frontier[wires[0]] += step
-    return max(frontier, default=0)
+            a = wires[0]
+            total[a] += 1
+            path[a] += step
+            layer[a] += kind is layer_kind
+    return counts, max(layer, default=0), max(path, default=0), max(total, default=0)

@@ -330,7 +330,9 @@ def cmd_verify(args) -> int:
 
 
 def _check_adder(built) -> tuple | None:
-    """First failing (a, b, want, got) in a-major order, or None."""
+    """First failing (a, b, want, got) in a-major order, or None.  Each
+    chunk is checked as whole arrays; only its first failing lane is
+    looked at in Python, mod before sum."""
     layout = built.layout
     side = (1 << layout.n) + 1
     pairs = side * side
@@ -338,14 +340,16 @@ def _check_adder(built) -> tuple | None:
         a, b = np.divmod(np.arange(start, min(start + _VERIFY_LANES, pairs)), side)
         out = run_exact(built.circuit, built.encode(a, b))
         # A wire no gate writes is still the int 0: broadcast it to the lanes.
-        mods = np.broadcast_to(decode(out, layout.mod_wires), a.shape).tolist()
-        sums = np.broadcast_to(decode(out, layout.sum_wires), a.shape).tolist()
-        for x, y, got_mod, got_sum in zip(a.tolist(), b.tolist(), mods, sums):
+        mods = np.broadcast_to(decode(out, layout.mod_wires), a.shape)
+        sums = np.broadcast_to(decode(out, layout.sum_wires), a.shape)
+        failed = (mods != mod_add_plus_one(layout.n, a, b)) | (sums != a + b)
+        if failed.any():
+            lane = int(failed.argmax())
+            x, y = int(a[lane]), int(b[lane])
             want = mod_add_plus_one(layout.n, x, y)
-            if got_mod != want:
-                return x, y, want, got_mod
-            if got_sum != x + y:
-                return x, y, x + y, got_sum
+            if mods[lane] != want:
+                return x, y, want, int(mods[lane])
+            return x, y, x + y, int(sums[lane])
     return None
 
 

@@ -1,32 +1,39 @@
 """Classical reference arithmetic for modulo (2**n + 1) addition.
 
-Everything here works on plain Python integers, so any n fits without
-overflow.  These functions are the ground truth the circuits are checked
-against.
+On plain Python integers any n fits without overflow.  These functions
+are the ground truth the circuits are checked against.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import DomainError, InvalidN
 
 
-def _check_instance(n: int, a: int, b: int) -> None:
+def _check_instance(n: int, a, b) -> None:
+    """Raise unless n >= 1 and a and b, ints or integer arrays (every
+    entry), lie in [0, 2^n]; the message names the first entry outside."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     limit = 1 << n
-    if not 0 <= a <= limit:
-        raise DomainError(f"a={a} outside [0, 2^{n}]")
-    if not 0 <= b <= limit:
-        raise DomainError(f"b={b} outside [0, 2^{n}]")
+    for name, value in (("a", a), ("b", b)):
+        outside = (value < 0) | (value > limit)
+        if np.any(outside):
+            bad = value[outside][0] if np.ndim(outside) else value
+            raise DomainError(f"{name}={bad} outside [0, 2^{n}]")
 
 
-def mod_add_plus_one(n: int, a: int, b: int) -> int:
-    """(a + b + 1) mod (2**n + 1), the function the adders implement."""
+def mod_add_plus_one(n: int, a, b):
+    """(a + b + 1) mod (2**n + 1), the function the adders implement.
+
+    a and b are ints, or integer arrays that give the result entrywise;
+    an array's dtype must hold 2**(n + 1) + 1."""
     _check_instance(n, a, b)
     return (a + b + 1) % ((1 << n) + 1)
 
 
 def mod_add(n: int, a: int, b: int) -> int:
-    """(a + b) mod (2**n + 1), the plain three-case definition."""
+    """(a + b) mod (2**n + 1), the plain three-case definition, on ints."""
     _check_instance(n, a, b)
     modulus = (1 << n) + 1
     total = a + b
@@ -35,4 +42,3 @@ def mod_add(n: int, a: int, b: int) -> int:
     if total == modulus:
         return 0
     return total % modulus
-

@@ -10,6 +10,7 @@ one `Gate` object, as the builders' gates do.
 from __future__ import annotations
 
 import json
+import operator
 import re
 
 from .builders import AdderVariant, BuiltAdder, RegisterLayout
@@ -57,13 +58,16 @@ def export_qasm(built: BuiltAdder) -> str:
 
 def export_circuit(circuit: Circuit) -> str:
     """Serialize a bare circuit (no layout metadata)."""
+    gates = circuit.gates
     lines = ["OPENQASM 3.0;", f"qubit[{circuit.width}] q;"]
-    lines.extend(_TEMPLATES[g.kind].format(*g.operands) for g in circuit.gates)
+    lines += map(operator.mod, map(_TEMPLATES.__getitem__, map(_KIND, gates)),
+                 map(_OPERANDS, gates))
     return "\n".join(lines) + "\n"
 
 
-#: kind -> its statement with one `q[{}]` per operand, e.g. "cx q[{}], q[{}];"
-_TEMPLATES = {k: f"{k.value} {', '.join(['q[{}]'] * k.arity)};" for k in GateKind}
+#: kind -> its statement with one `q[%s]` per operand, e.g. "cx q[%s], q[%s];"
+_TEMPLATES = {k: f"{k.value} {', '.join(['q[%s]'] * k.arity)};" for k in GateKind}
+_KIND, _OPERANDS = operator.attrgetter("kind"), operator.attrgetter("operands")
 
 _LAYOUT_RE = re.compile(r"^//\s*layout:\s*(\{.*\})\s*$")
 _STMT_RE = re.compile(

@@ -1,4 +1,5 @@
 import hashlib
+import operator
 
 import pytest
 
@@ -142,6 +143,20 @@ class TestBuildQma:
         for variant in AdderVariant:
             gates = build_qma(variant, n).circuit.gates
             assert len({id(gate) for gate in gates}) == len(set(gates))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_variants_of_one_n_share_their_common_stages(self, n):
+        gates = {v: build_qma(v, n).circuit.gates for v in AdderVariant}
+        stage = len(build_full_adder(list(range(n + 1)), list(range(n + 1, 2 * n + 2)),
+                                     2 * n + 2))
+        first = gates[AdderVariant.QMA1][:stage]
+        for variant in AdderVariant:
+            assert all(map(operator.is_, gates[variant][:stage], first))
+        # QMA3 and QMA4 differ only in their resets; the tail after them is shared.
+        tail = len(gates[AdderVariant.QMA2]) - stage
+        qma3, qma4 = gates[AdderVariant.QMA3][-tail:], gates[AdderVariant.QMA4][-tail:]
+        assert all(map(operator.is_, qma3, qma4))
+        assert GateKind.RESET not in {gate.kind for gate in qma3}
 
     def test_repeated_build_is_one_shared_value(self):
         assert build_qma(AdderVariant.QMA2, 3) is build_qma(AdderVariant.QMA2, 3)

@@ -4,6 +4,8 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qmodadd.analyzer import analyze
+from qmodadd.builders import AdderVariant, build_qma
 from qmodadd.circuits import (
     Circuit,
     Gate,
@@ -181,6 +183,33 @@ def test_depths_are_the_longest_paths_of_the_dependency_dag(circuit):
         assert path_depth(circuit, kind) == counted
         kept = [gate for gate in gates if gate.kind is kind]
         assert depth_by_kind(circuit, kind) == _dag_longest_path(kept, lambda gate: 1)
+    _assert_one_walk_agrees(circuit)
+
+
+def _assert_one_walk_agrees(circuit):
+    """Every analyze field equals its one-purpose view, and each view equals
+    the brute-force DAG path or a plain count."""
+    gates = circuit.gates
+    report = analyze(circuit)
+    counts = [sum(gate.kind is kind for gate in gates) for kind in GateKind]
+    assert [circuit.count(kind) for kind in GateKind] == counts
+    assert [report.x_count, report.cnot_count, report.toffoli_count,
+            report.reset_count] == counts
+    cnots = [gate for gate in gates if gate.kind is GateKind.CNOT]
+    assert report.cnot_depth == depth_by_kind(circuit, GateKind.CNOT) == (
+        _dag_longest_path(cnots, lambda gate: 1))
+    assert report.toffoli_depth == path_depth(circuit, GateKind.TOFFOLI) == (
+        _dag_longest_path(gates, lambda gate: gate.kind is GateKind.TOFFOLI))
+    assert report.total_depth == total_depth(circuit) == (
+        _dag_longest_path(gates, lambda gate: 1))
+    assert (report.label, report.width) == (circuit.label, circuit.width)
+    assert report.fom == circuit.width * report.toffoli_depth
+
+
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_analyze_agrees_with_the_views_on_every_adder(variant):
+    for n in range(1, 13):
+        _assert_one_walk_agrees(build_qma(variant, n).circuit)
 
 
 @given(reset_free_circuits())

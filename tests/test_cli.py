@@ -444,15 +444,18 @@ def _without_gate(text: str, index: int) -> str:
 
 
 def _first_failure(built) -> tuple | None:
-    """Reference: one run_exact call per pair, in a-major order."""
+    """Reference: one run_exact call per pair, in a-major order; the first
+    failing (a, b, want, got), mod checked before sum."""
     side = (1 << built.n) + 1
     for a in range(side):
         for b in range(side):
             out = run_exact(built.circuit, built.encode(a, b))
-            if decode(out, built.layout.mod_wires) != mod_add_plus_one(built.n, a, b):
-                return a, b
-            if decode(out, built.layout.sum_wires) != a + b:
-                return a, b
+            got, want = decode(out, built.layout.mod_wires), mod_add_plus_one(built.n, a, b)
+            if got != want:
+                return a, b, want, got
+            got = decode(out, built.layout.sum_wires)
+            if got != a + b:
+                return a, b, a + b, got
     return None
 
 
@@ -472,8 +475,8 @@ def test_verify_chunks_report_the_first_failure_in_a_major_order(
         if first is None:
             assert (code, stdout) == (0, f"ok {bad} (25 inputs)\n")
         else:
-            assert code == 4
-            assert stdout.startswith(f"FAIL {bad} a={first[0]} b={first[1]}: ")
+            a, b, want, got = first
+            assert (code, stdout) == (4, f"FAIL {bad} a={a} b={b}: expected {want}, got {got}\n")
 
 
 def test_verify_gateless_qasm_fails_at_the_first_pair(tmp_path, capsys):

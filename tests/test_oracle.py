@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,22 @@ def test_three_evaluations_agree_exhaustively():
             for b in range(modulus):
                 naive = (a + b + 1) % modulus
                 assert mod_add_plus_one(n, a, b) == naive
+
+
+def test_arrays_give_the_scalar_results_entrywise():
+    for n in range(1, 7):
+        side = (1 << n) + 1
+        a, b = np.divmod(np.arange(side * side), side)
+        scalar = [mod_add_plus_one(n, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert mod_add_plus_one(n, a, b).tolist() == scalar
+
+
+def test_one_out_of_range_array_entry_raises():
+    good = np.arange(17)
+    with pytest.raises(DomainError, match=r"^a=17 outside"):
+        mod_add_plus_one(4, np.array([0, 16, 17, 3]), good)
+    with pytest.raises(DomainError, match=r"^b=-1 outside"):
+        mod_add_plus_one(4, good, np.array([5] * 16 + [-1]))
 
 
 @given(
