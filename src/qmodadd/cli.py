@@ -311,9 +311,10 @@ def cmd_verify(args) -> int:
         lo, hi = args.n_range
         variants = _selected_variants(args)
         _check_width(hi)
-        _check_work(hi, 1, (build_qma(v, hi).circuit for v in variants))
+        top = {}  # held, so the loop below does not build them again
+        _check_work(hi, 1, (top.setdefault(v, build_qma(v, hi)).circuit for v in variants))
         adders = (
-            (f"{variant.value} n={n}", build_qma(variant, n))
+            (f"{variant.value} n={n}", top[variant] if n == hi else build_qma(variant, n))
             for n in range(lo, hi + 1)
             for variant in variants
         )

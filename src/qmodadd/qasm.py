@@ -2,10 +2,10 @@
 
 Export is deterministic byte-for-byte.  A structured leading comment
 (`// layout: {...}`) carries the register roles so a parsed file can be
-simulated and scored without rebuilding.  The parser is a small
-hand-rolled scanner that never raises anything but the diagnostic error
-types, whatever the input bytes.  Equal statements in one parsed text share
-one `Gate` object, as the builders' gates do.
+simulated and scored without rebuilding.  The parser is one hand-rolled
+scanner that never raises anything but the diagnostic error types,
+whatever the input bytes.  It reads each distinct line of a text once, so
+equal statements share one `Gate` object, as the builders' gates do.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .errors import (
     ArityMismatch,
     DuplicateOperand,
     QasmSyntaxError,
+    QmodaddError,
     SubsetViolation,
     WidthMismatch,
 )
@@ -75,14 +76,21 @@ _STMT_RE = re.compile(
 )
 _OPERAND_RE = re.compile(r"^q\[(\d+)\]$")
 _QUBIT_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.*)?$")
+#: a statement in export form; its digits are ASCII and bounded, so int()
+#: never meets its digit limit
+_DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
+_EXPORTED_STMT = re.compile(
+    rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;"
+)
 
 
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
-    Text in exactly `export_qasm`'s form is read one distinct statement at a
-    time, and equal statements share one `Gate` object; any other text goes
-    to the line parser, which gives the same result or diagnostic.
+    The header lines are read in order; then each distinct body line is
+    read once, and equal statements share one `Gate` object.  A line in
+    `export_qasm`'s form is accepted by one match; any other goes to the
+    statement parser, the only source of diagnostics.
 
     The first layout comment is all or nothing: only a usable one (see
     `_parse_layout`) yields the layout and sets the label to the variant.
@@ -92,64 +100,10 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """
     if not isinstance(text, str):
         raise QasmSyntaxError("input is not text", 1, 1)
-    blob, width, gates = _scan_exported(text) or _scan_lines(text)
-    meta = None if blob is None else _parse_layout(blob, width)
-    if meta is None:
-        return Circuit(width, tuple(gates)), None
-    layout, variant = meta
-    return Circuit(width, tuple(gates), label=variant.value), layout
-
-
-# The exact export form.  Digits are ASCII and bounded, so int() never
-# meets its digit limit; the blob is printable ASCII, so it holds none of
-# the separators str.splitlines() breaks on.
-_DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
-_EXPORTED_HEAD = re.compile(
-    rf"(?:// layout: (\{{[ -~]*\}})\n)?OPENQASM 3\.0;\nqubit\[{_DIGITS}\] q;\n"
-)
-_EXPORTED_STMT = re.compile(
-    rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;"
-)
-
-
-def _scan_exported(text: str) -> tuple[str | None, int, list[Gate]] | None:
-    """(blob, width, gates) if `text` is in export form and passes every check.
-
-    Each distinct statement line is matched and checked once, and its one
-    `Gate` sits at every position where the line occurs.
-    """
-    head = _EXPORTED_HEAD.match(text)
-    if head is None or int(head.group(2)) > MAX_WIDTH:
-        return None
-    blob, width = head.group(1), int(head.group(2))
-    lines = text[head.end():].split("\n")
-    if lines.pop() != "":
-        return None
-    table = dict.fromkeys(lines)
-    try:
-        for line in table:
-            match = _EXPORTED_STMT.fullmatch(line)
-            if match is None:
-                return None
-            name, a, b, c = match.groups()
-            operands = (int(a),) if b is None else (
-                (int(a), int(b)) if c is None else (int(a), int(b), int(c)))
-            if max(operands) >= width:
-                return None
-            table[line] = Gate(_KINDS[name], operands)
-    except (ArityMismatch, DuplicateOperand):
-        return None
-    return blob, width, list(map(table.__getitem__, lines))
-
-
-def _scan_lines(text: str) -> tuple[str | None, int, list[Gate]]:
-    """(blob, width, gates) of any text, read line by line."""
-    blob: str | None = None
-    width: int | None = None
+    lines = text.splitlines()
+    blob = None
     saw_version = False
-    gates: list[Gate] = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -165,30 +119,55 @@ def _scan_lines(text: str) -> tuple[str | None, int, list[Gate]]:
                 )
             saw_version = True
             continue
-        if width is None:
-            match = _QUBIT_RE.match(line)
-            if not match:
-                raise QasmSyntaxError(
-                    f"expected qubit declaration, got {line!r}", line_no, 1
-                )
-            try:
-                width = int(match.group(1))
-            except ValueError:  # past int()'s digit limit
-                width = MAX_WIDTH + 1
-            if width > MAX_WIDTH:
-                raise SubsetViolation(
-                    f"register wider than the supported {MAX_WIDTH} qubits",
-                    line_no,
-                    1,
-                )
-            continue
-        gates.append(_parse_statement(line, line_no, width))
-
-    if not saw_version:
-        raise QasmSyntaxError("empty program: missing version line", 1, 1)
-    if width is None:
+        match = _QUBIT_RE.match(line)
+        if not match:
+            raise QasmSyntaxError(f"expected qubit declaration, got {line!r}", line_no, 1)
+        try:
+            width = int(match.group(1))
+        except ValueError:  # past int()'s digit limit
+            width = MAX_WIDTH + 1
+        if width > MAX_WIDTH:
+            raise SubsetViolation(
+                f"register wider than the supported {MAX_WIDTH} qubits", line_no, 1
+            )
+        break
+    else:
+        if not saw_version:
+            raise QasmSyntaxError("empty program: missing version line", 1, 1)
         raise QasmSyntaxError("missing qubit declaration", 1, 1)
-    return blob, width, gates
+
+    # A body line's reading depends only on its text and the width, so the
+    # first distinct line that fails is the file's first failing line.
+    body = lines[line_no:]
+    table = dict.fromkeys(body)
+    for raw in table:
+        match = _EXPORTED_STMT.fullmatch(raw)
+        if match:
+            name, a, b, c = match.groups()
+            operands = (int(a),) if b is None else (
+                (int(a), int(b)) if c is None else (int(a), int(b), int(c)))
+            if max(operands) < width:
+                try:
+                    table[raw] = Gate(_KINDS[name], operands)
+                    continue
+                except (ArityMismatch, DuplicateOperand):
+                    pass
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            match = _LAYOUT_RE.match(line)
+            if match and blob is None:
+                blob = match.group(1)
+            continue  # stays None: no gate
+        try:
+            table[raw] = _parse_statement(line, 0, width)
+        except QmodaddError:  # again, for the diagnostic with its line
+            _parse_statement(line, line_no + body.index(raw) + 1, width)
+    gates = tuple(filter(None, map(table.__getitem__, body)))
+    meta = None if blob is None else _parse_layout(blob, width)
+    if meta is None:
+        return Circuit(width, gates), None
+    layout, variant = meta
+    return Circuit(width, gates, label=variant.value), layout
 
 
 def _parse_statement(line: str, line_no: int, width: int) -> Gate:
@@ -252,7 +231,7 @@ def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] 
             preserved_roles=frozenset(data.get("preserved_roles", ())),
         )
         variant = AdderVariant[data["variant"]]
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         # Malformed metadata is not fatal; the program may still parse.
         return None
     wires = layout.a_wires + layout.b_wires + layout.sum_wires + layout.mod_wires

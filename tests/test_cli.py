@@ -289,6 +289,13 @@ def test_verify_all_small(capsys):
     assert "(9 inputs)" in stdout and "(25 inputs)" in stdout
 
 
+def test_verify_builds_each_adder_once(capsys):
+    build_qma.cache_clear()
+    code, stdout, _ = run_cli(capsys, "verify", "--all", "--n", "1..7")
+    assert (code, stdout.count("ok ")) == (0, 28)
+    assert build_qma.cache_info().misses == 28
+
+
 def test_verify_catches_corrupted_circuit(tmp_path, capsys):
     built = build_qma(AdderVariant.QMA2, 2)
     text = export_qasm(built)
@@ -303,7 +310,10 @@ def test_verify_catches_corrupted_circuit(tmp_path, capsys):
     assert "FAIL" in stdout and "expected" in stdout
 
 
-@pytest.mark.parametrize("wires", ["[0, 99]", "[0, -1]"])
+@pytest.mark.parametrize("wires", [
+    "[0, 99]", "[0, -1]",
+    pytest.param("[" * 100_000 + "]" * 100_000, id="too-deep-for-json"),
+])
 def test_verify_rejects_layout_wires_outside_register(tmp_path, capsys, wires):
     text = export_qasm(build_qma(AdderVariant.QMA2, 1))
     bad = tmp_path / "bad.qasm"

@@ -42,7 +42,10 @@ def test_round_trip_with_layout():
     # Older files carry an always-empty "ancilla_wires" key; it is ignored.
     legacy = text.replace('"b_wires"', '"ancilla_wires": [], "b_wires"', 1)
     assert legacy != text
-    for source in (text, legacy):
+    # The first layout comment counts wherever it stands.
+    lines = text.splitlines()
+    moved = "\n".join(lines[1:4] + [lines[0], '// layout: {"n": 1}'] + lines[4:])
+    for source in (text, legacy, moved):
         circuit, layout = parse_qasm(source)
         assert circuit.width == built.circuit.width
         assert circuit.gates == built.circuit.gates
@@ -123,6 +126,8 @@ def test_syntax_errors(source):
         ('"a_wires": [0, 1]', '"a_wires": [0]'),
         ('"mod_wires": [5, 6]', '"mod_wires": [5, 6, 4]'),
         ('"sum_wires": [0, 1, 4]', '"sum_wires": [0, 1]'),
+        pytest.param('"a_wires": [0, 1]', '"a_wires": ' + "[" * 100_000 + "]" * 100_000,
+                     id="too-deep-for-json"),
     ],
 )
 def test_unusable_layout_parses_as_no_layout(old, new):
@@ -215,6 +220,17 @@ def _mutate(rng, text, width):
     return text
 
 
+def _count_parsed(monkeypatch, counts):
+    """Make every `_parse_statement` call add one to `counts[-1]`."""
+    parse_statement = qasm._parse_statement
+
+    def counted(*args):
+        counts[-1] += 1
+        return parse_statement(*args)
+
+    monkeypatch.setattr(qasm, "_parse_statement", counted)
+
+
 def test_fast_path_agrees_with_the_line_parser(monkeypatch):
     rng = random.Random(11)
     sources = [export_qasm(build_qma(v, n)) for v in AdderVariant for n in (1, 2)]
@@ -224,8 +240,8 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
         source = rng.choice(sources)
         width = int(re.search(r"qubit\[(\d+)\]", source).group(1))
         texts.append(_mutate(rng, source, width) if rng.random() < 0.9 else source)
-    # Edges of splitting the body on "\n": no final newline, a blank line
-    # between the last two statements, and "\r\n" line ends.
+    # Edges of splitting the body into lines: no final newline, a blank
+    # line between the last two statements, and "\r\n" line ends.
     for source in sources:
         lines = source.split("\n")
         texts += [
@@ -233,14 +249,24 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
             "\n".join(lines[:-2] + [""] + lines[-2:]),
             source.replace("\n", "\r\n"),
         ]
-    fast = sum(qasm._scan_exported(text) is not None for text in texts)
-    outcomes = [_outcome(text) for text in texts]
-    monkeypatch.setattr(qasm, "_scan_exported", lambda text: None)
+    counts = []
+    _count_parsed(monkeypatch, counts)
+    outcomes = []
+    for text in texts:
+        counts.append(0)
+        outcomes.append(_outcome(text))
+    # Every statement line through the statement parser.
+    monkeypatch.setattr(qasm, "_EXPORTED_STMT", re.compile("(?!)"))
     mismatches = [
         text for text, got in zip(texts, outcomes) if _outcome(text) != got
     ]
     assert mismatches == []
-    assert 500 < fast < 4000  # both paths were exercised
+    # Both branches were exercised: texts read without the statement parser,
+    # and texts where it read some lines.
+    unparsed = sum(isinstance(got[0], Circuit) and not count
+                   for got, count in zip(outcomes, counts))
+    assert 500 < unparsed < 4000
+    assert sum(map(bool, counts)) > 500
 
 
 @pytest.mark.parametrize("n", [1, 4, 12])
@@ -252,12 +278,25 @@ def test_equal_statements_share_one_gate(n):
         assert len({id(gate) for gate in gates}) == len(statements)
 
 
-def test_fast_path_reads_every_export():
+def test_equal_statements_share_one_gate_off_the_export_form():
+    built = build_qma(AdderVariant.QMA1, 4)
+    text = export_qasm(built)
+    statements = set(text.splitlines()[3:])
+    for copy in (text.replace("\n", "\r\n"), text.replace(";\n", "; // c\n")):
+        assert copy != text
+        circuit, layout = parse_qasm(copy)
+        assert (circuit.gates, layout) == (built.circuit.gates, built.layout)
+        assert len({id(gate) for gate in circuit.gates}) == len(statements)
+
+
+def test_fast_path_reads_every_export(monkeypatch):
+    counts = [0]
+    _count_parsed(monkeypatch, counts)
     for n in range(1, 97):
         for variant in AdderVariant:
             built = build_qma(variant, n)
-            text = export_qasm(built)
-            blob, width, gates = qasm._scan_exported(text)
-            assert (width, tuple(gates)) == (built.circuit.width, built.circuit.gates)
-            assert blob is not None and text.startswith(f"// layout: {blob}\n")
-    assert qasm._scan_exported(export_circuit(built.circuit))[0] is None
+            circuit, layout = parse_qasm(export_qasm(built))
+            assert (circuit, layout) == (built.circuit, built.layout)
+    bare = Circuit(built.circuit.width, built.circuit.gates)
+    assert parse_qasm(export_circuit(bare)) == (bare, None)
+    assert counts == [0]
