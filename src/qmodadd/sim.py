@@ -21,9 +21,14 @@ holds one flip per wire segment inside the readout's light cone
 fewer draws.  The cells (wire, lane) of each group that shares a flip
 probability q draw k ~ Binomial(cells, q) and flip a uniform k-subset
 chosen without replacement, which flips every cell independently with
-probability exactly q.  One generator, `SeedSequence(seed)`, serves
-the whole call.  This random stream replaced a per-layer one in
-version 0.3.0 and a per-input, dense-draw one in version 0.2.0.
+probability exactly q.  The k cells index the group's rows read as one
+flat array, so they are flipped on those rows alone, gathered first
+when the group has more than one wire.  A block counts its (input,
+readout value) keys in a table of every possible key when that table
+is no larger than the block, else by a sort.  One generator,
+`SeedSequence(seed)`, serves the whole call.  This random stream
+replaced a per-layer one in version 0.3.0 and a per-input, dense-draw
+one in version 0.2.0.
 """
 from __future__ import annotations
 
@@ -262,16 +267,17 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
         ):
             raise DomainError("input bits must be integers 0 or 1")
     table = np.array(lanes, dtype=np.uint8).reshape(len(bits), -1)
-    if len(readout) + (table.shape[1] - 1).bit_length() > 64:
+    # 63 bits, so every key, and every value noisy_modes returns, fits int64.
+    if len(readout) + (table.shape[1] - 1).bit_length() > 63:
         raise LengthMismatch(
-            f"{len(readout)} readout wires x {table.shape[1]} inputs overflow 64-bit keys"
+            f"{len(readout)} readout wires x {table.shape[1]} inputs overflow 63-bit keys"
         )
     schedule = _schedule(circuit, noise, reset_model, tuple(readout))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     total = table.shape[1] * shots
     blocks = [
-        np.unique(_lane_keys(table, start, min(start + _BLOCK_LANES, total), shots,
-                             schedule, rng, readout), return_counts=True)
+        _lane_keys(table, start, min(start + _BLOCK_LANES, total), shots,
+                   schedule, rng, readout)
         for start in range(0, total, _BLOCK_LANES)
     ]
     # Only an input cut by a block edge repeats a key; merge once at the end.
@@ -282,11 +288,13 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
     return readout, keys, counts
 
 
-def _lane_keys(table, start, stop, shots, schedule, rng, readout) -> np.ndarray:
+def _lane_keys(table, start, stop, shots, schedule, rng,
+               readout) -> tuple[np.ndarray, np.ndarray]:
     """Simulate lanes start..stop of the input-major lanes of `table`
-    (wire x input bits); returns each lane's `input << len(readout) | value`.
-    Rows are padded to 2**shift lanes, copies of the last that nothing
-    reads, so a cell index splits into (wire, lane) by shift and mask."""
+    (wire x input bits); returns the sorted keys `input << len(readout) |
+    value` seen in them, and their counts.  Rows are padded to 2**shift
+    lanes, copies of the last that nothing reads, so flat cell `row <<
+    shift | lane` of a group's rows is that row's lane."""
     lanes = stop - start
     shift = (lanes - 1).bit_length()
     inputs = np.arange(start // shots, (stop - 1) // shots + 1)
@@ -294,8 +302,6 @@ def _lane_keys(table, start, stop, shots, schedule, rng, readout) -> np.ndarray:
     padded = repeats.copy()
     padded[-1] += (1 << shift) - lanes
     state = np.repeat(table[:, inputs[0]:inputs[-1] + 1], padded, axis=1)
-    cells = state.reshape(-1)  # a view: cell w << shift | j is wire w, lane j
-    mask = (1 << shift) - 1
     for gates, flips in schedule:
         for gate in gates:
             _apply(state, gate)
@@ -306,12 +312,26 @@ def _lane_keys(table, start, stop, shots, schedule, rng, readout) -> np.ndarray:
                 wires.size << shift, rng.binomial(wires.size << shift, q),
                 replace=False, shuffle=False,
             )
-            cells[(wires[hit >> shift] << shift) | (hit & mask)] ^= 1
-    keys = np.repeat(inputs.astype(np.uint64), repeats)
+            if wires.size == 1:
+                state[wires[0]][hit] ^= 1
+            else:  # the gathered rows are contiguous: hit is row << shift | lane
+                rows = state[wires]
+                rows.reshape(-1)[hit] ^= 1
+                state[wires] = rows
+    # Keys relative to the block's first input: they span `inputs.size <<
+    # len(readout)`, a count table no larger than the block when that fits.
+    keys = np.repeat(np.arange(inputs.size, dtype=np.int64), repeats)
     for wire in reversed(readout):  # in place: no lane-sized temporaries
-        keys <<= np.uint64(1)
+        keys <<= 1
         keys |= state[wire, :lanes]
-    return keys
+    span = inputs.size << len(readout)
+    if span <= lanes:
+        counts = np.bincount(keys, minlength=span)
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        keys, counts = np.unique(keys, return_counts=True)
+    return keys.astype(np.uint64) + np.uint64(int(inputs[0]) << len(readout)), counts
 
 
 def _modes(keys: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:

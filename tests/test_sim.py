@@ -20,6 +20,7 @@ from qmodadd.sim import (
     DEFAULT_NOISE,
     NoiseModel,
     _BLOCK_LANES,
+    _lane_keys,
     _modes,
     _schedule,
     _tally,
@@ -214,11 +215,22 @@ def test_run_noisy_validation():
         noisy_modes(circuit, [np.array([0, 1]), 0], ZERO, 1, seed=-1)
     with pytest.raises(LengthMismatch, match="differ in length"):
         noisy_modes(circuit, [np.array([0, 1]), np.array([0, 1, 1])], ZERO, 1, seed=0)
-    with pytest.raises(LengthMismatch):  # readout values are 64-bit keys
+    with pytest.raises(LengthMismatch):  # keys and readout values fit 63 bits
         run_noisy(Circuit(65), [0] * 65, ZERO, 1, seed=0)
     with pytest.raises(LengthMismatch, match="noisy_modes"):  # one input only
         run_noisy(Circuit(1, (x(0),)), [np.array([0, 1])], ZERO, 3, seed=1)
 
+
+
+def test_readout_values_fit_int64():
+    # noisy_modes returns int64: at 64 wires its all-ones value came back
+    # as -1 while run_noisy gave 2**64 - 1.
+    for function in (noisy_modes, run_noisy):
+        with pytest.raises(LengthMismatch, match="63-bit"):
+            function(Circuit(64, tuple(x(i) for i in range(64))), [0] * 64, ZERO, 3, 0)
+    circuit = Circuit(63, tuple(x(i) for i in range(63)))
+    assert noisy_modes(circuit, [0] * 63, ZERO, 3, 0).tolist() == [2**63 - 1]
+    assert run_noisy(circuit, [0] * 63, ZERO, 3, 0) == {2**63 - 1: 3}
 
 @pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
 def test_noisy_engine_rejects_values_that_are_not_bits(bad):
@@ -457,3 +469,69 @@ def test_noisy_modes_match_run_noisy_on_one_input():
         assert noisy_modes(built.circuit, bits, DEFAULT_NOISE, 300, 5,
                            readout=readout).tolist() == [mode]
 
+
+
+def test_flips_of_a_many_wire_group_land_on_their_own_rows():
+    # Wires 1 and 2 idle through the one layer and share one flip group, so
+    # each cell of the group's gathered rows is one (wire, lane): the two
+    # readout bits flip independently, each with probability p.
+    shots, p = 1_000_000, 0.3
+    assert [wires.tolist() for _, wires in
+            _schedule(Circuit(3, (x(0),)), NoiseModel(p_idle=p), "purify", (1, 2))[0][1]
+            ] == [[1, 2]]
+    hist = run_noisy(Circuit(3, (x(0),)), [0, 0, 0], NoiseModel(p_idle=p), shots,
+                     seed=29, readout=[1, 2])
+    for value, want in ((0, (1 - p) ** 2), (1, p * (1 - p)), (2, p * (1 - p)), (3, p * p)):
+        sigma = math.sqrt(want * (1 - want) / shots)
+        assert abs(hist.get(value, 0) / shots - want) <= 4 * sigma
+
+
+def test_blocks_counted_by_a_sort_are_pinned():
+    # At one shot, each block's 25 lanes are QMA2's 25 inputs at n = 2, and
+    # 7 readout bits give 25 << 7 possible keys: more than the block has
+    # lanes, so its keys are sorted, not tabled.  As for
+    # test_random_stream_is_pinned, a change here changes the stream.
+    built = build_qma(AdderVariant.QMA2, 2)
+    a, b = np.divmod(np.arange(25), 5)
+    readout = list(built.layout.mod_wires) + list(built.layout.sum_wires)
+    modes = {
+        seed: noisy_modes(built.circuit, built.encode(a, b), DEFAULT_NOISE, 1, seed,
+                          readout=readout).tolist()
+        for seed in (1, 2)
+    }
+    assert modes == {
+        1: [3, 10, 21, 82, 32, 10, 18, 28, 119, 91, 19, 29, 33, 105, 118, 28, 59,
+            86, 32, 28, 33, 59, 54, 60, 98],
+        2: [10, 10, 0, 100, 36, 10, 0, 63, 38, 109, 23, 29, 41, 45, 95, 91, 32,
+            43, 0, 86, 32, 60, 50, 56, 78],
+    }
+
+
+@pytest.mark.parametrize("shots, start, stop", [
+    (1, 0, 25), (1, 3, 20),  # 7 readout bits span more keys than lanes: sort
+    (1000, 0, 25_000), (1000, 1500, 20_000),  # a table, cut inputs at both ends
+])
+def test_block_keys_are_sorted_unique_and_absolute(shots, start, stop):
+    built = build_qma(AdderVariant.QMA2, 2)
+    a, b = np.divmod(np.arange(25), 5)
+    bits = built.encode(a, b)
+    readout = list(built.layout.mod_wires) + list(built.layout.sum_wires)
+    table = np.array(np.broadcast_arrays(*bits), dtype=np.uint8)
+    rng = np.random.default_rng(0)
+    keys, counts = _lane_keys(table, start, stop, shots,
+                              _schedule(built.circuit, DEFAULT_NOISE, "purify",
+                                        tuple(readout)), rng, readout)
+    assert keys.dtype == np.uint64 and (np.diff(keys) > 0).all()
+    assert counts.min() > 0 and counts.sum() == stop - start
+    assert keys[0] >> np.uint64(7) == start // shots
+    assert keys[-1] >> np.uint64(7) == (stop - 1) // shots
+    # Noiseless, each input's lanes give one key: its exact readout.
+    keys, counts = _lane_keys(table, start, stop, shots,
+                              _schedule(built.circuit, ZERO, "purify", tuple(readout)),
+                              rng, readout)
+    inputs = np.arange(start // shots, (stop - 1) // shots + 1)
+    exact = decode(run_exact(built.circuit, [np.asarray(w)[inputs] if np.ndim(w) else w
+                                             for w in bits]), readout)
+    assert keys.tolist() == ((inputs << 7) | exact).tolist()
+    lanes = np.minimum(stop, (inputs + 1) * shots) - np.maximum(start, inputs * shots)
+    assert counts.tolist() == lanes.tolist()
