@@ -5,7 +5,8 @@ Export is deterministic byte-for-byte.  A structured leading comment
 simulated and scored without rebuilding.  The parser is one hand-rolled
 scanner that never raises anything but the diagnostic error types,
 whatever the input bytes.  It reads each distinct line of a text once, so
-equal statements share one `Gate` object, as the builders' gates do.
+equal statements share one `Gate` object, as the builders' gates do; the
+export-form statements are also shared across calls, through `_RECENT`.
 """
 from __future__ import annotations
 
@@ -83,14 +84,23 @@ _EXPORTED_STMT = re.compile(
     rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;"
 )
 
+#: export-form statement line -> (its Gate, its highest wire), shared by
+#: every parse_qasm call, since the four variants of one n repeat most of
+#: each other's statements.  Emptied when it reaches _RECENT_MAX lines; the
+#: digits are bounded, so an entry is a few hundred bytes.
+_RECENT: dict[str, tuple[Gate, int]] = {}
+_RECENT_MAX = 1 << 11
+
 
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
     The header lines are read in order; then each distinct body line is
     read once, and equal statements share one `Gate` object.  A line in
-    `export_qasm`'s form is accepted by one match; any other goes to the
-    statement parser, the only source of diagnostics.
+    `export_qasm`'s form is accepted by one match or found among the
+    `_RECENT_MAX` kept by earlier calls, and is taken if its highest wire
+    is below the width.  Any other line goes to the statement parser, the
+    only source of diagnostics, so earlier calls never change a result.
 
     The first layout comment is all or nothing: only a usable one (see
     `_parse_layout`) yields the layout and sets the label to the variant.
@@ -140,18 +150,24 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     # first distinct line that fails is the file's first failing line.
     body = lines[line_no:]
     table = dict.fromkeys(body)
+    recent = _RECENT
     for raw in table:
-        match = _EXPORTED_STMT.fullmatch(raw)
-        if match:
+        entry = recent.get(raw)
+        if entry is None and (match := _EXPORTED_STMT.fullmatch(raw)):
             name, a, b, c = match.groups()
             operands = (int(a),) if b is None else (
                 (int(a), int(b)) if c is None else (int(a), int(b), int(c)))
-            if max(operands) < width:
-                try:
-                    table[raw] = Gate(_KINDS[name], operands)
-                    continue
-                except (ArityMismatch, DuplicateOperand):
-                    pass
+            try:
+                entry = Gate(_KINDS[name], operands), max(operands)
+            except (ArityMismatch, DuplicateOperand):
+                pass
+            else:
+                if len(recent) >= _RECENT_MAX:
+                    recent.clear()
+                recent[raw] = entry
+        if entry is not None and entry[1] < width:
+            table[raw] = entry[0]
+            continue
         line = raw.strip()
         if not line or line.startswith("//"):
             match = _LAYOUT_RE.match(line)

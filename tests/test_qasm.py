@@ -255,18 +255,71 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
     for text in texts:
         counts.append(0)
         outcomes.append(_outcome(text))
-    # Every statement line through the statement parser.
+    # Every statement line through the statement parser: no export-form
+    # match, and no statement kept from earlier calls.
     monkeypatch.setattr(qasm, "_EXPORTED_STMT", re.compile("(?!)"))
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    counts.append(0)
     mismatches = [
         text for text, got in zip(texts, outcomes) if _outcome(text) != got
     ]
     assert mismatches == []
+    assert counts.pop() > len(texts)
+    assert qasm._RECENT == {}
     # Both branches were exercised: texts read without the statement parser,
     # and texts where it read some lines.
     unparsed = sum(isinstance(got[0], Circuit) and not count
                    for got, count in zip(outcomes, counts))
     assert 500 < unparsed < 4000
     assert sum(map(bool, counts)) > 500
+
+
+def test_earlier_calls_do_not_change_a_result(monkeypatch):
+    rng = random.Random(21)
+    source = export_qasm(build_qma(AdderVariant.QMA1, 4))
+    # Narrower declarations reuse the export's lines, some of them now
+    # out of range.
+    texts = [source] + [source.replace("qubit[17]", f"qubit[{width}]")
+                        for width in (16, 9, 2)]
+    texts += [_mutate(rng, source, 17) for _ in range(40)]
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    in_order = [_outcome(text) for text in texts]
+    in_reverse = [_outcome(text) for text in reversed(texts)][::-1]
+    alone = []
+    for text in texts:
+        qasm._RECENT.clear()
+        alone.append(_outcome(text))
+    assert in_order == in_reverse == alone
+    assert isinstance(in_order[0][0], Circuit)
+    # A kept statement whose wire is out of range raises at its line.
+    parse_qasm(source)
+    first = next(no for no, line in enumerate(source.splitlines(), start=1)
+                 if "q[16]" in line)
+    assert source.splitlines()[first - 1] in qasm._RECENT
+    with pytest.raises(WidthMismatch) as err:
+        parse_qasm(texts[1])
+    assert err.value.line == first
+
+
+def test_kept_statements_are_bounded(monkeypatch):
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    wires = qasm._RECENT_MAX + 100
+    header = f"OPENQASM 3.0;\nqubit[{wires}] q;\n"
+    circuit = parse_qasm(header + "".join(f"x q[{w}];\n" for w in range(wires)))[0]
+    assert len(circuit.gates) == wires
+    assert 0 < len(qasm._RECENT) <= qasm._RECENT_MAX
+    qasm._RECENT.clear()
+    comment = "// " + "c" * 100_000
+    # Only export-form statements that build a gate are kept.
+    kept = ["x q[0];", "cx q[0], q[1];"]
+    lines = [comment, "cx q[0],q[1];", "h q[0];"]
+    with pytest.raises(SubsetViolation):
+        parse_qasm(header + "\n".join(kept + lines))
+    assert list(qasm._RECENT) == kept
+    for line in ("cx q[1], q[1];", "x q[0], q[1];"):
+        with pytest.raises(QmodaddError):
+            parse_qasm(header + line)
+    assert list(qasm._RECENT) == kept
 
 
 @pytest.mark.parametrize("n", [1, 4, 12])
