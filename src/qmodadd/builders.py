@@ -1,15 +1,16 @@
 """Constructors for the four modulo (2**n + 1) adders and their gadgets.
 
-`build_qma` builds all four variants in one body, because the paper
-derives each from the one before.  They share the first stage: a ripple
-adder that leaves the regular sum on the a-register (plus a carry wire)
-while reverse computing the b-register back to its input.  A NOR gadget
-folds the two top sum bits into a correction bit on the first result
-wire.  The paper's steps are then three branches: QMA1's second stage is
-a full adder, the others use a half-adder increment; QMA3 resets and
-reuses b wires as the result register; QMA4 resets each of them twice.
-The full adder builds each distinct gate once and appends that one
-object at every position where it occurs.
+`build_qma` answers from one build of all four variants of its n, made in
+one body, because the paper derives each from the one before.  They
+share the first stage: a ripple adder that leaves the regular sum on the
+a-register (plus a carry wire) while reverse computing the b-register
+back to its input.  A NOR gadget folds the two top sum bits into a
+correction bit on the first result wire.  The paper's steps are then
+three branches: QMA1's second stage is a full adder, the others use a
+half-adder increment; QMA3 resets and reuses b wires as the result
+register; QMA4 resets each of them twice and shares QMA3's tail after
+the resets.  The full adder builds each distinct gate once and appends
+that one object at every position where it occurs.
 
 Wire budget per variant, for operand size n:
 
@@ -181,32 +182,9 @@ def build_half_adder_increment(
     return gates
 
 
-def _increment_stage(carry: int, top: int, folded: tuple, result: tuple) -> list[Gate]:
-    """The NOR gadget, then the half-adder increment onto `result`."""
-    return [
-        *build_nor_gadget(carry, top, result[0]),
-        *build_half_adder_increment(folded, result[0], result[1:]),
-    ]
-
-
-@functools.lru_cache(maxsize=len(AdderVariant))
-def _stage(builder, *wires) -> tuple[Gate, ...]:
-    """`builder(*wires)` as a tuple, kept for the variants of one n that
-    share the stage: they build it once and hold the same `Gate` objects."""
-    return tuple(builder(*wires))
-
-
-@functools.lru_cache(maxsize=len(AdderVariant), typed=True)
-def build_qma(variant: AdderVariant, n: int) -> BuiltAdder:
-    """Build one adder variant for operand size n >= 1.
-
-    For every valid basis input (a, b) with 0 <= a, b <= 2^n, exact
-    simulation reads (a + b + 1) mod (2^n + 1) on mod_wires and a + b on
-    sum_wires.  QMA1/QMA2 also restore b.
-
-    The result is a shared frozen value: a process keeps its last four
-    builds, and a repeated call returns the same object.
-    """
+@functools.lru_cache(maxsize=1, typed=True)
+def _build_all(n: int) -> dict[AdderVariant, BuiltAdder]:
+    """QMA1-QMA4 for operand size n, in the paper's order (see above)."""
     if n < 1:
         raise InvalidN(f"n must be >= 1, got {n}")
     w = n + 1
@@ -214,47 +192,67 @@ def build_qma(variant: AdderVariant, n: int) -> BuiltAdder:
     b = list(range(w, 2 * w))
     carry = 2 * w
     fresh = 2 * w + 1  # first wire after the shared registers
-    reuses_b = variant in (AdderVariant.QMA3, AdderVariant.QMA4)
-    if reuses_b:
-        # n of the b wires plus one fresh wire are reset and reused as the
-        # result register; one b wire is left untouched.  Reused b wires
-        # take the heavy result bits: their resets land late in the
-        # schedule, so they idle least before use.  The fresh wire has no
-        # predecessors, resets at the very start, and therefore takes a
-        # light bit.  The truncation drops b[n] when n == 1 (two result
-        # wires suffice); otherwise b[n-1] is the wire that keeps its value.
-        result = ([b[0], fresh] + b[1 : n - 1] + [b[n]])[: n + 1]
-    else:
-        # Static adders: n + 1 fresh wires, the correction bit first.
-        result = list(range(fresh, fresh + w))
-    sum_wires = a + [carry]
+    spill = fresh + w  # QMA1's always-zero carry out, kept for reversibility
+    folded = [*a[:n], carry]
+    # Static adders: n + 1 fresh wires, the correction bit first.
+    static = list(range(fresh, spill))
+    # QMA3/QMA4: n of the b wires plus one fresh wire are reset and reused
+    # as the result register; one b wire is left untouched.  Reused b wires
+    # take the heavy result bits: their resets land late in the schedule,
+    # so they idle least before use.  The fresh wire has no predecessors,
+    # resets at the very start, and therefore takes a light bit.  The
+    # truncation drops b[n] when n == 1 (two result wires suffice);
+    # otherwise b[n-1] is the wire that keeps its value.
+    reused = ([b[0], fresh] + b[1 : n - 1] + [b[n]])[:w]
 
-    gates = list(_stage(build_full_adder, tuple(a), tuple(b), carry))
-    if reuses_b:
-        resets_per_wire = 2 if variant is AdderVariant.QMA4 else 1
-        for wire in result:
-            gates += [reset(wire)] * resets_per_wire
-    folded = (*a[:n], carry)
-    if variant is AdderVariant.QMA1:
-        # Second stage: full adder with the result register as the
-        # receiving side, so the regular sum survives on its own wires.
-        # Its carry out lands on an always-zero spill wire, kept for
-        # reversibility.
-        spill = fresh + w
-        gates += build_nor_gadget(carry, a[n], result[0])
-        gates += build_full_adder(result, folded, spill)
-        sum_wires.append(spill)
-    else:
-        gates += _stage(_increment_stage, carry, a[n], folded, tuple(result))
+    def increment(result: list[int]) -> list[Gate]:
+        return [
+            *build_nor_gadget(carry, a[n], result[0]),
+            *build_half_adder_increment(folded, result[0], result[1:]),
+        ]
 
-    layout = RegisterLayout(
-        n=n,
-        a_wires=tuple(a),
-        b_wires=tuple(b),
-        sum_wires=tuple(sum_wires),
-        mod_wires=tuple(result),
-        preserved_roles=frozenset({"sum", "mod"} if reuses_b else {"b", "sum", "mod"}),
-    )
-    # Wires are numbered densely, so the last one is a sum or result wire.
-    width = max(sum_wires + result) + 1
-    return BuiltAdder(Circuit(width, tuple(gates), variant.value), layout, variant)
+    first = build_full_adder(a, b, carry)
+    sums = a + [carry]
+    tail = increment(reused)
+    seconds = {
+        # QMA1's second stage is a full adder with the result register as
+        # the receiving side, so the regular sum survives on its own wires.
+        AdderVariant.QMA1: (static, sums + [spill], [
+            *build_nor_gadget(carry, a[n], static[0]),
+            *build_full_adder(static, folded, spill),
+        ]),
+        AdderVariant.QMA2: (static, sums, increment(static)),
+        AdderVariant.QMA3: (reused, sums, [*map(reset, reused), *tail]),
+        AdderVariant.QMA4: (
+            reused, sums, [g for wire in reused for g in [reset(wire)] * 2] + tail),
+    }
+    built = {}
+    for variant, (result, sum_wires, second) in seconds.items():
+        layout = RegisterLayout(
+            n=n,
+            a_wires=tuple(a),
+            b_wires=tuple(b),
+            sum_wires=tuple(sum_wires),
+            mod_wires=tuple(result),
+            preserved_roles=frozenset(
+                {"sum", "mod"} if result is reused else {"b", "sum", "mod"}),
+        )
+        # Wires are numbered densely, so the last one is a sum or result wire.
+        width = max(sum_wires + result) + 1
+        circuit = Circuit(width, (*first, *second), variant.value)
+        built[variant] = BuiltAdder(circuit, layout, variant)
+    return built
+
+
+def build_qma(variant: AdderVariant, n: int) -> BuiltAdder:
+    """Build one adder variant for operand size n >= 1.
+
+    For every valid basis input (a, b) with 0 <= a, b <= 2^n, exact
+    simulation reads (a + b + 1) mod (2^n + 1) on mod_wires and a + b on
+    sum_wires.  QMA1/QMA2 also restore b.
+
+    The result is a shared frozen value: a call builds all four variants
+    of its n, a process keeps the four adders of the last n, and a
+    repeated call returns the same object.
+    """
+    return _build_all(n)[variant]

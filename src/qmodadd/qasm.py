@@ -75,6 +75,8 @@ _LAYOUT_RE = re.compile(r"^//\s*layout:\s*(\{.*\})\s*$")
 _STMT_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?P<args>[^;]*);\s*(?://.*)?$"
 )
+#: the layout's roles, each with its `<role>_wires` field
+_ROLES = ("a", "b", "sum", "mod")
 _OPERAND_RE = re.compile(r"^q\[(\d+)\]$")
 _QUBIT_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.*)?$")
 #: a statement in export form; its digits are ASCII and bounded, so int()
@@ -95,8 +97,9 @@ _RECENT_MAX = 1 << 11
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
-    The header lines are read in order; then each distinct body line is
-    read once, and equal statements share one `Gate` object.  A line in
+    Lines end at LF, CRLF or CR only.  The header lines are read in order,
+    and the one register must be named `q`; then each distinct body line
+    is read once, and equal statements share one `Gate` object.  A line in
     `export_qasm`'s form is accepted by one match or found among the
     `_RECENT_MAX` kept by earlier calls, and is taken if its highest wire
     is below the width.  Any other line goes to the statement parser, the
@@ -110,7 +113,11 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """
     if not isinstance(text, str):
         raise QasmSyntaxError("input is not text", 1, 1)
-    lines = text.splitlines()
+    # str.splitlines would also end a line, even inside a comment, at
+    # U+2028, NEL, VT, FF and the like.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     blob = None
     saw_version = False
     for line_no, raw in enumerate(lines, start=1):
@@ -132,6 +139,8 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
         match = _QUBIT_RE.match(line)
         if not match:
             raise QasmSyntaxError(f"expected qubit declaration, got {line!r}", line_no, 1)
+        if match.group(2) != "q":
+            raise SubsetViolation(f"register {match.group(2)!r} is not named 'q'", line_no, 1)
         try:
             width = int(match.group(1))
         except ValueError:  # past int()'s digit limit
@@ -234,27 +243,23 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
 
 def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] | None:
     """Layout and variant, or None unless the JSON decodes, names a known
-    variant, has n >= 1, n + 1 wires for a, b and mod, at least n + 2 for
-    sum, and keeps every role's wires in [0, width)."""
+    variant, has an integer n >= 1, n + 1 wires for a, b and mod, at least
+    n + 2 for sum, keeps every role's wires integers in [0, width), and
+    gives preserved_roles, if at all, as a list of those role names."""
     try:
         data = json.loads(blob)
-        layout = RegisterLayout(
-            n=int(data["n"]),
-            a_wires=tuple(data["a_wires"]),
-            b_wires=tuple(data["b_wires"]),
-            sum_wires=tuple(data["sum_wires"]),
-            mod_wires=tuple(data["mod_wires"]),
-            preserved_roles=frozenset(data.get("preserved_roles", ())),
-        )
         variant = AdderVariant[data["variant"]]
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+        n, roles = data["n"], data.get("preserved_roles", [])
+        a, b, sums, mods = (tuple(data[f"{role}_wires"]) for role in _ROLES)
+    except (KeyError, TypeError, ValueError, RecursionError):
         # Malformed metadata is not fatal; the program may still parse.
         return None
-    wires = layout.a_wires + layout.b_wires + layout.sum_wires + layout.mod_wires
-    n = layout.n
-    sizes = (len(layout.a_wires), len(layout.b_wires), len(layout.mod_wires))
-    if n < 1 or sizes != (n + 1,) * 3 or len(layout.sum_wires) < n + 2:
+    if type(n) is not int or n < 1:
         return None
-    if not all(isinstance(w, int) and 0 <= w < width for w in wires):
+    if (len(a), len(b), len(mods)) != (n + 1,) * 3 or len(sums) < n + 2:
         return None
-    return layout, variant
+    if not all(type(w) is int and 0 <= w < width for w in a + b + sums + mods):
+        return None
+    if type(roles) is not list or not all(role in _ROLES for role in roles):
+        return None
+    return RegisterLayout(n, a, b, sums, mods, frozenset(roles)), variant

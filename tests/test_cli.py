@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import qmodadd
 from qmodadd import cli
-from qmodadd.builders import AdderVariant, BuiltAdder, build_qma, decode
+from qmodadd.builders import AdderVariant, BuiltAdder, _build_all, build_qma, decode
 from qmodadd.cli import main
 from qmodadd.oracle import mod_add_plus_one
 from qmodadd.qasm import MAX_WIDTH, export_qasm, parse_qasm
@@ -290,10 +290,11 @@ def test_verify_all_small(capsys):
 
 
 def test_verify_builds_each_adder_once(capsys):
-    build_qma.cache_clear()
+    # One build of the four adders per n: verify holds the top n's.
+    _build_all.cache_clear()
     code, stdout, _ = run_cli(capsys, "verify", "--all", "--n", "1..7")
     assert (code, stdout.count("ok ")) == (0, 28)
-    assert build_qma.cache_info().misses == 28
+    assert _build_all.cache_info().misses == 7
 
 
 def test_verify_catches_corrupted_circuit(tmp_path, capsys):

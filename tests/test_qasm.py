@@ -91,6 +91,29 @@ def test_register_width_is_capped():
         assert str(MAX_WIDTH) in str(err.value)
 
 
+@pytest.mark.parametrize("body", ["x q[0];\n", "x r[0];\n"])
+def test_register_must_be_named_q(body):
+    with pytest.raises(SubsetViolation) as err:
+        parse_qasm("OPENQASM 3.0;\nqubit[2] r;\n" + body)
+    assert err.value.line == 2
+    assert "'r'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+)
+def test_only_lf_crlf_and_cr_end_a_line(char):
+    text = export_qasm(build_qma(AdderVariant.QMA2, 1))
+    expected = parse_qasm(text)
+    # A comment holding the character, then a statement: all one comment,
+    # in the header, mid-body and last.
+    comment = f"// note{char}x q[0];\n"
+    lines = text.splitlines(keepends=True)
+    commented = "".join([lines[0], comment, *lines[1:4], comment, *lines[4:], comment])
+    for newline in ("\n", "\r\n", "\r"):
+        assert parse_qasm(commented.replace("\n", newline)) == expected
+
+
 def test_huge_operand_is_a_width_mismatch():
     operand = "q[" + "9" * 5000 + "]"
     with pytest.raises(WidthMismatch) as err:
@@ -124,6 +147,12 @@ def test_syntax_errors(source):
         ('"n": 1', '"n": Infinity'),
         ('"n": 1', '"n": 2'),
         ('"a_wires": [0, 1]', '"a_wires": [0]'),
+        ('"n": 1', '"n": "1"'),
+        ('"n": 1', '"n": 1.9'),
+        ('"n": 1', '"n": true'),
+        ('"a_wires": [0, 1]', '"a_wires": [false, true]'),
+        ('"preserved_roles": ["b", "mod", "sum"]', '"preserved_roles": "bsum"'),
+        ('"preserved_roles": ["b", "mod", "sum"]', '"preserved_roles": ["zzz"]'),
         ('"mod_wires": [5, 6]', '"mod_wires": [5, 6, 4]'),
         ('"sum_wires": [0, 1, 4]', '"sum_wires": [0, 1]'),
         pytest.param('"a_wires": [0, 1]', '"a_wires": ' + "[" * 100_000 + "]" * 100_000,
@@ -184,8 +213,8 @@ def _outcome(text):
 
 
 #: what the differential fuzz inserts: whitespace, every separator that
-#: str.splitlines() breaks on, comments, punctuation, operands and a
-#: non-ASCII digit
+#: str.splitlines() breaks on (of which only "\n" and "\r" end a line),
+#: comments, punctuation, operands and a non-ASCII digit
 _INSERTS = (
     " ", "\t", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
     "\u2028", "\u2029", "// c\n", "//", ";", ",", "[", "]", "{", "}", "q[0]",
