@@ -132,10 +132,11 @@ def _check_width(n: int) -> None:
 
 def _check_work(n: int, shots: int, circuits, full_basis: bool = False,
                 max_rows: int | None = None) -> None:
-    """Usage error for a run of more than MAX_WORK, or of more than
-    `max_rows` inputs per adder.  `circuits` is only drawn from when
-    inputs x shots alone fits, so the adders built to count gates stay
-    small."""
+    """Usage error for an n over `_check_width`'s bound (checked first, so
+    no arithmetic meets a huge n), a run over MAX_WORK, or over `max_rows`
+    inputs per adder.  `circuits` is only drawn from when inputs x shots
+    alone fits, so the adders built to count gates stay small."""
+    _check_width(n)
     if n < 1:
         return  # build_qma rejects it
     if full_basis:  # every register pattern, as run_experiment runs them
@@ -246,7 +247,6 @@ def cmd_experiment(args) -> int:
     variants = _selected_variants(args)
     noise = _parse_noise(args.noise)
     seed = _default_seed(args)
-    _check_width(args.n)
     _check_work(args.n, args.shots, (build_qma(v, args.n).circuit for v in variants),
                 full_basis=args.full_basis, max_rows=MAX_ROWS)
     rows = run_sweep(
@@ -303,6 +303,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Check each adder, read from `--qasm` or built for each n of `--n`,
+    on every input; `_check_work` first bounds the file's n or the top n.
+    Stops at the first failing adder with exit 4."""
     if args.qasm:
         built = _load_qasm(args.qasm)
         _check_work(built.n, 1, [built.circuit])
@@ -310,14 +313,9 @@ def cmd_verify(args) -> int:
     elif args.n_range:
         lo, hi = args.n_range
         variants = _selected_variants(args)
-        _check_width(hi)
-        top = {}  # held, so the loop below does not build them again
-        _check_work(hi, 1, (top.setdefault(v, build_qma(v, hi)).circuit for v in variants))
-        adders = (
-            (f"{variant.value} n={n}", top[variant] if n == hi else build_qma(variant, n))
-            for n in range(lo, hi + 1)
-            for variant in variants
-        )
+        _check_work(hi, 1, (build_qma(v, hi).circuit for v in variants))
+        adders = ((f"{v.value} n={n}", build_qma(v, n))
+                  for n in range(lo, hi + 1) for v in variants)
     else:
         raise QmodaddError("verify needs --n LO..HI or --qasm FILE")
     for label, built in adders:
@@ -343,21 +341,22 @@ def _check_adder(built) -> tuple | None:
         # A wire no gate writes is still the int 0: broadcast it to the lanes.
         mods = np.broadcast_to(decode(out, layout.mod_wires), a.shape)
         sums = np.broadcast_to(decode(out, layout.sum_wires), a.shape)
-        failed = (mods != mod_add_plus_one(layout.n, a, b)) | (sums != a + b)
+        want = mod_add_plus_one(layout.n, a, b)
+        failed = (mods != want) | (sums != a + b)
         if failed.any():
             lane = int(failed.argmax())
             x, y = int(a[lane]), int(b[lane])
-            want = mod_add_plus_one(layout.n, x, y)
-            if mods[lane] != want:
-                return x, y, want, int(mods[lane])
+            if mods[lane] != want[lane]:
+                return x, y, int(want[lane]), int(mods[lane])
             return x, y, x + y, int(sums[lane])
     return None
 
 
 def _load_qasm(path: str) -> BuiltAdder:
     try:
+        # Skip one byte-order mark (utf-8-sig would miscount error bytes).
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")
     except OSError as err:
         raise OSError(f"cannot read {path}: {err}")
     except UnicodeDecodeError as err:

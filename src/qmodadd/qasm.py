@@ -244,8 +244,9 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
 def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] | None:
     """Layout and variant, or None unless the JSON decodes, names a known
     variant, has an integer n >= 1, n + 1 wires for a, b and mod, at least
-    n + 2 for sum, keeps every role's wires integers in [0, width), and
-    gives preserved_roles, if at all, as a list of those role names."""
+    n + 2 for sum, keeps every role's wires integers in [0, width), with
+    no wire twice among a and b or among sum and mod, and gives
+    preserved_roles, if at all, as a list of those role names."""
     try:
         data = json.loads(blob)
         variant = AdderVariant[data["variant"]]
@@ -259,6 +260,8 @@ def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] 
     if (len(a), len(b), len(mods)) != (n + 1,) * 3 or len(sums) < n + 2:
         return None
     if not all(type(w) is int and 0 <= w < width for w in a + b + sums + mods):
+        return None
+    if len({*a, *b}) != 2 * n + 2 or len({*sums, *mods}) != len(sums) + len(mods):
         return None
     if type(roles) is not list or not all(role in _ROLES for role in roles):
         return None

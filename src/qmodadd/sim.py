@@ -155,7 +155,7 @@ _CHANNEL = {GateKind.X: "p_x", GateKind.CNOT: "p_cnot",
 
 @lru_cache(maxsize=64)
 def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str,
-              readout: tuple[int, ...] | None = None):
+              readout: tuple[int, ...]):
     """Steps of `(gates, ((q, wires), ...))`: after a step's gates, each
     group's wires flip with probability q, resolved here once.  Step 0 has
     no gates; step L + 1 holds ASAP layer L of the effective gate list.
@@ -168,9 +168,9 @@ def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str,
     NoiseModel field, effective_reset_error(delta, k) for a run of k
     resets, or 0 at the start.  k counts same-wire resets, no other gate
     on that wire between, under "purify", else k = 1.  A segment is left
-    out if q = 0 or its wire is outside the light cone of `readout` (all
-    wires if None) at its flip: no later gate carries the wire's value
-    into the readout before a reset erases it."""
+    out if q = 0 or its wire is outside the light cone of `readout` at its
+    flip: no later gate carries the wire's value into the readout before a
+    reset erases it."""
     if reset_model not in ("purify", "independent"):
         raise UnknownOption(f"unknown reset model {reset_model!r}")
     steps: list[tuple[Gate, int]] = []
@@ -192,7 +192,7 @@ def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str,
     # Walk back from the readout: `cone` holds the wires whose value after
     # the current step can reach it, ends[w] the step that closes wire w's
     # segment.
-    cone = set(range(circuit.width) if readout is None else readout)
+    cone = set(readout)
     ends = [len(layers) + 1] * circuit.width
     groups: list[dict[float, list[int]]] = [{} for _ in range(len(layers) + 1)]
     idle = math.log1p(-2.0 * noise.p_idle)

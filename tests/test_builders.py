@@ -89,6 +89,8 @@ class TestFullAdder:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             build_full_adder([0, 1], [2], 3)
+        with pytest.raises(LengthMismatch):
+            build_full_adder([], [], 0)
         with pytest.raises(DuplicateOperand):
             build_full_adder([0, 1], [1, 2], 3)
 

@@ -13,6 +13,7 @@ import qmodadd
 from qmodadd import cli
 from qmodadd.builders import AdderVariant, BuiltAdder, _build_all, build_qma, decode
 from qmodadd.cli import main
+from qmodadd.errors import QmodaddError
 from qmodadd.oracle import mod_add_plus_one
 from qmodadd.qasm import MAX_WIDTH, export_qasm, parse_qasm
 from qmodadd.sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, run_exact
@@ -201,15 +202,18 @@ def test_experiment_env_seed(capsys, monkeypatch):
     assert json.loads(stdout)["seed"] == 123
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("source", ["flag", "env", "env-not-int"])
 def test_experiment_negative_seed_is_usage_error(capsys, monkeypatch, source):
     argv = ["experiment", "qma1", "--n", "1", "--shots", "2"]
     if source == "flag":
         argv += ["--seed", "-1"]
         message = "error: --seed=-1 is negative (a seed must be >= 0)\n"
-    else:
+    elif source == "env":
         monkeypatch.setenv("QMA_SEED", "-3")
         message = "error: QMA_SEED=-3 is negative (a seed must be >= 0)\n"
+    else:
+        monkeypatch.setenv("QMA_SEED", "abc")
+        message = "error: QMA_SEED='abc' is not an integer\n"
     code, stdout, stderr = run_cli(capsys, *argv)
     assert (code, stdout, stderr) == (2, "", message)
 
@@ -290,11 +294,13 @@ def test_verify_all_small(capsys):
 
 
 def test_verify_builds_each_adder_once(capsys):
-    # One build of the four adders per n: verify holds the top n's.
+    # One build of the four adders per n in the loop, and one more at the
+    # top n for the work check: verify holds no builds of its own, and
+    # the cache keeps only the last n, which the loop reaches last.
     _build_all.cache_clear()
     code, stdout, _ = run_cli(capsys, "verify", "--all", "--n", "1..7")
     assert (code, stdout.count("ok ")) == (0, 28)
-    assert _build_all.cache_info().misses == 7
+    assert _build_all.cache_info().misses == 8
 
 
 def test_verify_catches_corrupted_circuit(tmp_path, capsys):
@@ -312,7 +318,7 @@ def test_verify_catches_corrupted_circuit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("wires", [
-    "[0, 99]", "[0, -1]",
+    "[0, 99]", "[0, -1]", "[0, 0]", "[2, 3]",
     pytest.param("[" * 100_000 + "]" * 100_000, id="too-deep-for-json"),
 ])
 def test_verify_rejects_layout_wires_outside_register(tmp_path, capsys, wires):
@@ -342,6 +348,24 @@ def test_verify_non_utf8_qasm_is_usage_error(tmp_path, capsys):
     code, stdout, stderr = run_cli(capsys, "verify", "--n", "1", "--qasm", str(bad))
     assert (code, stdout) == (2, "")
     assert stderr == f"error: {bad} is not UTF-8 text (byte 14)\n"
+
+
+def test_verify_skips_one_byte_order_mark(tmp_path, capsys):
+    # Some editors start a UTF-8 file with U+FEFF; an error's byte offset
+    # still counts from the first byte of the file.
+    bom = b"\xef\xbb\xbf"
+    good = tmp_path / "bom.qasm"
+    good.write_bytes(bom + export_qasm(build_qma(AdderVariant.QMA2, 2)).encode())
+    assert run_cli(capsys, "verify", "--qasm", str(good)) == (0, f"ok {good} (25 inputs)\n", "")
+    bad = tmp_path / "bad.qasm"
+    bad.write_bytes(bom + b"OPENQASM 3.0;\n\xff\n")
+    assert run_cli(capsys, "verify", "--qasm", str(bad)) == (
+        2, "", f"error: {bad} is not UTF-8 text (byte 17)\n")
+    twice = tmp_path / "twice.qasm"
+    twice.write_bytes(bom + good.read_bytes())
+    code, stdout, stderr = run_cli(capsys, "verify", "--qasm", str(twice))
+    assert (code, stdout) == (2, "")
+    assert "expected OPENQASM 3 version line" in stderr
 
 
 def test_verify_oversized_register_is_usage_error(tmp_path, capsys):
@@ -427,6 +451,12 @@ def test_experiment_memory_does_not_grow_with_the_adder_count():
 
 def test_width_check_admits_the_widest_n_that_parses_back():
     cli._check_width((MAX_WIDTH - 5) // 3)
+
+
+def test_work_check_bounds_its_own_n():
+    # Called alone, it must not compute (2^n + 1)^2 for a huge n.
+    with pytest.raises(QmodaddError, match="too large"):
+        cli._check_work(10**20, 1, [])
 
 
 def test_verify_qasm_of_a_large_adder_is_refused_before_it_runs(

@@ -130,6 +130,7 @@ def test_huge_operand_is_a_width_mismatch():
         "OPENQASM 3.0;\nqubit[2] q;\ncx q[0] q[1];\n",
         "OPENQASM 3.0;\nqubit[2] q;\ncx q[0], q[1]\n",
         "OPENQASM 2.0;\nqreg q[2];\n",
+        pytest.param(b"OPENQASM 3.0;\n", id="bytes-not-text"),
     ],
 )
 def test_syntax_errors(source):
@@ -155,6 +156,9 @@ def test_syntax_errors(source):
         ('"preserved_roles": ["b", "mod", "sum"]', '"preserved_roles": ["zzz"]'),
         ('"mod_wires": [5, 6]', '"mod_wires": [5, 6, 4]'),
         ('"sum_wires": [0, 1, 4]', '"sum_wires": [0, 1]'),
+        ('"b_wires": [2, 3]', '"b_wires": [0, 1]'),
+        ('"a_wires": [0, 1]', '"a_wires": [0, 0]'),
+        ('"mod_wires": [5, 6]', '"mod_wires": [4, 5]'),
         pytest.param('"a_wires": [0, 1]', '"a_wires": ' + "[" * 100_000 + "]" * 100_000,
                      id="too-deep-for-json"),
     ],

@@ -347,9 +347,8 @@ def test_schedule_is_exact_on_the_readout(run):
     # Seed-free: both sides propagate a probability vector over all 2^W
     # basis states, so the readout laws must agree to rounding.
     circuit, noise, reset_model, readout, start = run
-    steps = _schedule(circuit, noise, reset_model,
-                      None if readout is None else tuple(readout))
     read = range(circuit.width) if readout is None else readout
+    steps = _schedule(circuit, noise, reset_model, tuple(read))
     vector = start
     for gates, flips in steps:
         for gate in gates:
