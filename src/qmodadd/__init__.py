@@ -1,6 +1,5 @@
 """Modulo (2**n + 1) adder construction, analysis, and simulation toolkit."""
 
-from .analyzer import ResourceReport, analyze, compare
 from .builders import (
     AdderVariant,
     BuiltAdder,
@@ -15,7 +14,10 @@ from .circuits import (
     Circuit,
     Gate,
     GateKind,
+    ResourceReport,
+    analyze,
     cnot,
+    compare,
     compute_layering,
     depth_by_kind,
     reset,

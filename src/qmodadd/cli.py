@@ -20,9 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analyzer import analyze, compare
 from .builders import AdderVariant, BuiltAdder, build_qma, decode
-from .circuits import GateKind
+from .circuits import GateKind, analyze, compare
 from .errors import QmodaddError
 from .metrics import run_sweep
 from .oracle import mod_add_plus_one

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analyzer import ResourceReport, analyze, round2
 from .builders import AdderVariant, build_qma
+from .circuits import ResourceReport, analyze, round2
 from .errors import EmptyInput, InvalidSMax, UnknownOption
 from .sim import NoiseModel, noisy_modes
 

@@ -77,8 +77,8 @@ _STMT_RE = re.compile(
 )
 #: the layout's roles, each with its `<role>_wires` field
 _ROLES = ("a", "b", "sum", "mod")
-_OPERAND_RE = re.compile(r"^q\[(\d+)\]$")
-_QUBIT_RE = re.compile(r"^qubit\[(\d+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.*)?$")
+_OPERAND_RE = re.compile(r"^q\[([0-9]+)\]$")
+_QUBIT_RE = re.compile(r"^qubit\[([0-9]+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.*)?$")
 #: a statement in export form; its digits are ASCII and bounded, so int()
 #: never meets its digit limit
 _DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
@@ -130,7 +130,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
                 blob = match.group(1)
             continue
         if not saw_version:
-            if not re.match(r"^OPENQASM\s+3(\.\d+)?\s*;\s*(?://.*)?$", line):
+            if not re.match(r"^OPENQASM\s+3(\.[0-9]+)?\s*;\s*(?://.*)?$", line):
                 raise QasmSyntaxError(
                     f"expected OPENQASM 3 version line, got {line!r}", line_no, 1
                 )

@@ -4,15 +4,14 @@ Each criterion runs at its published tolerance; a terminal summary block
 (see conftest) prints one PASS/FAIL line per criterion.  Known state:
 all nine criteria pass.  Toffoli depth is counted along the full
 circuit's dependency paths and CNOT depth on the CNOT-only layering;
-the analyzer module docstring gives the reasons.
+the circuits module docstring gives the reasons.
 """
 import json
 import math
 import random
 
-from qmodadd.analyzer import analyze, round2
 from qmodadd.builders import AdderVariant, build_qma, decode
-from qmodadd.circuits import GateKind
+from qmodadd.circuits import GateKind, analyze, round2
 from qmodadd.cli import main
 from qmodadd.errors import QmodaddError
 from qmodadd.metrics import run_experiment

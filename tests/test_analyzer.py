@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmodadd.analyzer import analyze, compare, round2
+from qmodadd.circuits import analyze, compare, round2
 from qmodadd.builders import AdderVariant, build_qma
 from qmodadd.circuits import Circuit, cnot, toffoli
 from qmodadd.errors import EmptyInput

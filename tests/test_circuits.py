@@ -4,12 +4,12 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qmodadd.analyzer import analyze
 from qmodadd.builders import AdderVariant, build_qma
 from qmodadd.circuits import (
     Circuit,
     Gate,
     GateKind,
+    analyze,
     cnot,
     compute_layering,
     depth_by_kind,

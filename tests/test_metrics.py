@@ -157,7 +157,7 @@ def test_reported_metrics_match_raw_rows():
     # no cached-value drift: the aggregates recompute from per-input rows
     rows = run_sweep([AdderVariant.QMA3, AdderVariant.QMA4], 3, DELTA_ONLY,
                      shots=1, seed=13)
-    from qmodadd.analyzer import round2
+    from qmodadd.circuits import round2
 
     base = rows[0].error.nmed
     assert base > 0

@@ -131,6 +131,11 @@ def test_huge_operand_is_a_width_mismatch():
         "OPENQASM 3.0;\nqubit[2] q;\ncx q[0], q[1]\n",
         "OPENQASM 2.0;\nqreg q[2];\n",
         pytest.param(b"OPENQASM 3.0;\n", id="bytes-not-text"),
+        # Numbers are ASCII digits; int() would read any Unicode digit.
+        pytest.param("OPENQASM 3.\u0660;\nqubit[2] q;\n", id="arabic-indic-version"),
+        pytest.param("OPENQASM 3.0;\nqubit[\u0663] q;\n", id="arabic-indic-width"),
+        pytest.param("OPENQASM 3.0;\nqubit[2] q;\nx q[\u0661];\n", id="arabic-indic-operand"),
+        pytest.param("OPENQASM 3.0;\nqubit[2] q;\ncx q[\uff10], q[1];\n", id="fullwidth-operand"),
     ],
 )
 def test_syntax_errors(source):

@@ -1,6 +1,7 @@
 """Every public name has a caller inside the package or a use in the
-README example, and the package version is the one pyproject.toml
-declares."""
+README example, the README example runs and shows what it states, no
+module imports a sibling's private name, and the package version is the
+one pyproject.toml declares."""
 import ast
 import re
 from pathlib import Path
@@ -28,11 +29,16 @@ def _names_read(tree: ast.AST, skip: str = "") -> set[str]:
     return found
 
 
-def _readme_example() -> ast.Module:
-    """The "Library surface" code block of README, without its imports."""
+def _readme_source() -> str:
+    """The "Library surface" code block of README."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library surface\n", 1)[1]
-    tree = ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_example() -> ast.Module:
+    """The README code block without its imports."""
+    tree = ast.parse(_readme_source())
     tree.body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
     return tree
 
@@ -50,6 +56,40 @@ def test_every_public_name_is_used_or_documented():
         and not any(name in _names_read(module, skip=name) for module in modules)
     ]
     assert unused == []
+
+
+def test_readme_example_shows_its_values():
+    # Run the block statement by statement, imports included; a comment
+    # that starts with a value (`# 13`, `# array([13, 0])`) states what
+    # the expression before it returns.
+    source = _readme_source()
+    lines = source.splitlines()
+    namespace: dict = {}
+    shown, values = [], []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+        claim = re.match(r".*  # (array\(\[.*?\]\)|\d+\b)", lines[stmt.end_lineno - 1])
+        if claim:
+            shown.append(claim.group(1))
+            values.append(" ".join(repr(value).split()))
+    assert shown == ["13", "array([13, 0])", "14", "14", "32", "0"]
+    assert values == shown
+    assert eval("mod_add_plus_one(4, 16, 1)", namespace) == 1
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted((ROOT / "src" / "qmodadd").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_package_version_matches_pyproject():
