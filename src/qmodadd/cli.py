@@ -6,6 +6,8 @@ stderr.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 3 ordering self-check failed, 4 verification mismatch.  `main(argv)`
 returns the exit code and may be called repeatedly in one process; its
 parser is built on first use and shared, so callers must not mutate it.
+`verify` checks bit planes of Python ints; only `experiment`, through the
+noisy engine, loads numpy.
 """
 from __future__ import annotations
 
@@ -13,11 +15,10 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .builders import AdderVariant, BuiltAdder, build_qma, decode
@@ -154,7 +155,7 @@ def _check_work(n: int, shots: int, circuits, full_basis: bool = False,
         )
 
 
-def _rows(per_input: np.ndarray) -> list[list[int | None]]:
+def _rows(per_input) -> list[list[int | None]]:
     """An `ErrorReport.per_input` array as output rows, with None for the
     -1 that marks an unscored ideal or ed."""
     return [[None if cell < 0 else cell for cell in row] for row in per_input.tolist()]
@@ -329,26 +330,71 @@ def cmd_verify(args) -> int:
 
 def _check_adder(built) -> tuple | None:
     """First failing (a, b, want, got) in a-major order, or None.  Each
-    chunk is checked as whole arrays; only its first failing lane is
-    looked at in Python, mod before sum."""
+    chunk of `_lane_chunks` runs as one bit plane per wire and is checked
+    plane by plane; only its first failing lane is read back as ints, mod
+    before sum."""
     layout = built.layout
-    side = (1 << layout.n) + 1
-    pairs = side * side
-    for start in range(0, pairs, _VERIFY_LANES):
-        a, b = np.divmod(np.arange(start, min(start + _VERIFY_LANES, pairs)), side)
-        out = run_exact(built.circuit, built.encode(a, b))
-        # A wire no gate writes is still the int 0: broadcast it to the lanes.
-        mods = np.broadcast_to(decode(out, layout.mod_wires), a.shape)
-        sums = np.broadcast_to(decode(out, layout.sum_wires), a.shape)
-        want = mod_add_plus_one(layout.n, a, b)
-        failed = (mods != want) | (sums != a + b)
-        if failed.any():
-            lane = int(failed.argmax())
-            x, y = int(a[lane]), int(b[lane])
-            if mods[lane] != want[lane]:
-                return x, y, int(want[lane]), int(mods[lane])
-            return x, y, x + y, int(sums[lane])
+    for start, stop, a_planes, b_planes, mods, sums in _lane_chunks(layout.n, _VERIFY_LANES):
+        bits = [0] * built.circuit.width
+        for wires, planes in ((layout.a_wires, a_planes), (layout.b_wires, b_planes)):
+            for wire, plane in zip(wires, planes):
+                bits[wire] = plane
+        out = run_exact(built.circuit, bits, one=-1)
+        failed = 0
+        for wires, planes in ((layout.mod_wires, mods), (layout.sum_wires, sums)):
+            # A plane past the wires must be 0, a wire past the planes too.
+            for wire, plane in itertools.zip_longest(wires, planes):
+                failed |= (0 if wire is None else out[wire]) ^ (plane or 0)
+        failed &= (1 << (stop - start)) - 1
+        if failed:
+            lane = (failed & -failed).bit_length() - 1
+            a, b = divmod(start + lane, (1 << layout.n) + 1)
+            lane_bits = [(plane >> lane) & 1 for plane in out]
+            got = decode(lane_bits, layout.mod_wires)
+            if got != (want := mod_add_plus_one(layout.n, a, b)):
+                return a, b, want, got
+            return a, b, a + b, decode(lane_bits, layout.sum_wires)
     return None
+
+
+def _lane_chunks(n: int, lanes: int):
+    """The pairs of [0, 2^n]^2 in a-major order, `lanes` at a time, as bit
+    planes: yields (start, stop, a, b, mod, sum), where bit L - start of
+    each plane is lane L, the pair (a, b) = divmod(L, 2^n + 1), and mod
+    and sum are the planes of (a + b + 1) mod (2^n + 1) and a + b, least
+    significant first.  Bits past stop - start may be anything."""
+    side = (1 << n) + 1
+    pairs = side * side
+    row = (1 << side) - 1
+    # Bit b of b_row[i] is bit i of b: one row of each b plane.
+    b_row = [sum(((b >> i) & 1) << b for b in range(side)) for i in range(n + 1)]
+    # The n + 2 low bits of -(2^n + 1), as constant planes.
+    minus_side = [-((-side >> i) & 1) for i in range(n + 2)]
+    for start in range(0, pairs, lanes):
+        stop = min(start + lanes, pairs)
+        rows = range(start // side, (stop - 1) // side + 1)
+        skip = start - rows[0] * side
+        # One set bit where each row of the chunk starts, counted from rows[0].
+        heads = sum(1 << (a - rows[0]) * side for a in rows)
+        a_planes = [
+            row * sum(1 << (a - rows[0]) * side for a in rows if (a >> i) & 1) >> skip
+            for i in range(n + 1)
+        ]
+        b_planes = [pattern * heads >> skip for pattern in b_row]
+        plus_one = _ripple(a_planes, b_planes, -1)
+        *less, wraps = _ripple(plus_one, minus_side, 0)  # wraps: a + b + 1 >= 2^n + 1
+        mods = [t ^ ((t ^ d) & wraps) for t, d in zip(plus_one, less)]
+        yield start, stop, a_planes, b_planes, mods, _ripple(a_planes, b_planes, 0)
+
+
+def _ripple(xs: list[int], ys: list[int], carry: int) -> list[int]:
+    """Bit planes of xs + ys + carry, lane by lane, least significant
+    first and one plane longer than xs: the last is the carry out."""
+    out = []
+    for x, y in zip(xs, ys):
+        out.append(x ^ y ^ carry)
+        carry = (x & y) | (carry & (x ^ y))
+    return out + [carry]
 
 
 def _load_qasm(path: str) -> BuiltAdder:

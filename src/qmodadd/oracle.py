@@ -1,11 +1,10 @@
 """Classical reference arithmetic for modulo (2**n + 1) addition.
 
 On plain Python integers any n fits without overflow.  These functions
-are the ground truth the circuits are checked against.
+are the ground truth the circuits are checked against; on ints they
+leave numpy unloaded.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import DomainError, InvalidN
 
@@ -17,9 +16,12 @@ def _check_instance(n: int, a, b) -> None:
         raise InvalidN(f"n must be >= 1, got {n}")
     limit = 1 << n
     for name, value in (("a", a), ("b", b)):
-        outside = (value < 0) | (value > limit)
-        if np.any(outside):
-            bad = value[outside][0] if np.ndim(outside) else value
+        if isinstance(value, int):
+            bad = None if 0 <= value <= limit else value
+        else:  # an array, or a numpy scalar of ndim 0
+            outside = (value < 0) | (value > limit)
+            bad = (value[outside][0] if outside.ndim else value) if outside.any() else None
+        if bad is not None:
             raise DomainError(f"{name}={bad} outside [0, 2^{n}]")
 
 

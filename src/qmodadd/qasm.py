@@ -71,14 +71,18 @@ def export_circuit(circuit: Circuit) -> str:
 _TEMPLATES = {k: f"{k.value} {', '.join(['q[%s]'] * k.arity)};" for k in GateKind}
 _KIND, _OPERANDS = operator.attrgetter("kind"), operator.attrgetter("operands")
 
-_LAYOUT_RE = re.compile(r"^//\s*layout:\s*(\{.*\})\s*$")
+#: OpenQASM's whitespace, the only blank the patterns and line strips allow
+_BLANK = " \t"
+_LAYOUT_RE = re.compile(r"^//[ \t]*layout:[ \t]*(\{.*\})[ \t]*$")
 _STMT_RE = re.compile(
-    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*(?P<args>[^;]*);\s*(?://.*)?$"
+    r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)[ \t]*(?P<args>[^;]*);[ \t]*(?://.*)?$"
 )
 #: the layout's roles, each with its `<role>_wires` field
 _ROLES = ("a", "b", "sum", "mod")
 _OPERAND_RE = re.compile(r"^q\[([0-9]+)\]$")
-_QUBIT_RE = re.compile(r"^qubit\[([0-9]+)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*;\s*(?://.*)?$")
+_QUBIT_RE = re.compile(
+    r"^qubit\[([0-9]+)\][ \t]+([A-Za-z_][A-Za-z0-9_]*)[ \t]*;[ \t]*(?://.*)?$"
+)
 #: a statement in export form; its digits are ASCII and bounded, so int()
 #: never meets its digit limit
 _DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
@@ -97,7 +101,8 @@ _RECENT_MAX = 1 << 11
 def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     """Parse the subset back into a circuit (and layout if present).
 
-    Lines end at LF, CRLF or CR only.  The header lines are read in order,
+    Lines end at LF, CRLF or CR only, and the only blanks are ASCII space
+    and tab, as in OpenQASM.  The header lines are read in order,
     and the one register must be named `q`; then each distinct body line
     is read once, and equal statements share one `Gate` object.  A line in
     `export_qasm`'s form is accepted by one match or found among the
@@ -121,7 +126,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     blob = None
     saw_version = False
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(_BLANK)
         if not line:
             continue
         if line.startswith("//"):
@@ -130,7 +135,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
                 blob = match.group(1)
             continue
         if not saw_version:
-            if not re.match(r"^OPENQASM\s+3(\.[0-9]+)?\s*;\s*(?://.*)?$", line):
+            if not re.match(r"^OPENQASM[ \t]+3(\.[0-9]+)?[ \t]*;[ \t]*(?://.*)?$", line):
                 raise QasmSyntaxError(
                     f"expected OPENQASM 3 version line, got {line!r}", line_no, 1
                 )
@@ -177,7 +182,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
         if entry is not None and entry[1] < width:
             table[raw] = entry[0]
             continue
-        line = raw.strip()
+        line = raw.strip(_BLANK)
         if not line or line.startswith("//"):
             match = _LAYOUT_RE.match(line)
             if match and blob is None:
@@ -209,7 +214,8 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
                 1,
             )
         raise QasmSyntaxError(f"unknown statement {name!r}", line_no, 1)
-    args = [piece.strip() for piece in match.group("args").split(",") if piece.strip()]
+    pieces = (piece.strip(_BLANK) for piece in match.group("args").split(","))
+    args = [piece for piece in pieces if piece]
     operands = []
     for piece in args:
         operand_match = _OPERAND_RE.match(piece)

@@ -8,7 +8,10 @@ basis-state readout, so bit flips are the whole observable story.
 
 Both apply gates through one kernel, `_apply`, to a state indexed by
 wire; a wire holds an int or an integer array with one lane per input
-(`run_exact`) or per (input, shot) pair (the noisy engine).
+(`run_exact`) or per (input, shot) pair (the noisy engine), or an int bit
+plane whose bit L is lane L (`run_exact` with `one=-1`, as `verify` runs
+it).  Only the noisy engine uses numpy, so only it loads numpy (see the
+package docstring).
 
 The noisy engine, `noisy_modes` for many inputs and `run_noisy` for
 one, runs every (input x shot) lane of a call together: input-major
@@ -45,27 +48,29 @@ from .errors import (
 )
 
 
-def run_exact(circuit: Circuit, bits: list) -> list:
+def run_exact(circuit: Circuit, bits: list, one=1) -> list:
     """Apply the gate sequence to a basis state; returns a new list.
-    Each wire is an int or an integer array with one lane per input."""
+    Each wire is an int or an integer array with one lane per input, or
+    an int bit plane whose bit L is lane L; X XORs in `one`, which is -1,
+    Python's all-ones int, for bit planes."""
     if len(bits) != circuit.width:
         raise LengthMismatch(
             f"state length {len(bits)} != circuit width {circuit.width}"
         )
     state = list(bits)
     for gate in circuit.gates:
-        _apply(state, gate)
+        _apply(state, gate, one)
     return state
 
 
-def _apply(state, gate: Gate) -> None:
-    """Apply one gate.  Updates replace the target row, never `^=` it, so
-    ints, lane arrays and wire-major rows all work and no caller row
-    is written through."""
+def _apply(state, gate: Gate, one=1) -> None:
+    """Apply one gate; X XORs in `one`.  Updates replace the target row,
+    never `^=` it, so ints, bit planes, lane arrays and wire-major rows
+    all work and no caller row is written through."""
     kind, ops = gate.kind, gate.operands
     target = ops[-1]
     if kind is GateKind.X:
-        state[target] = state[target] ^ 1
+        state[target] = state[target] ^ one
     elif kind is GateKind.CNOT:
         state[target] = state[target] ^ state[ops[0]]
     elif kind is GateKind.TOFFOLI:

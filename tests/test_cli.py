@@ -135,6 +135,44 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
         assert run == _first_call_in_fresh_process(argv, env), argv
 
 
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qmodadd
+from qmodadd.cli import main
+good, cut = sys.argv[1:]
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("numpy."))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in (
+        ["build", "qma3", "--n", "2"], ["analyze", "--all", "--n", "4", "--format", "json"],
+        ["verify", "--all", "--n", "1..3"], ["verify", "--qasm", good], ["verify", "--qasm", cut],
+    )]
+    qmodadd.parse_qasm(open(good).read())
+    qmodadd.mod_add(4, 16, 1)
+    before = loaded()
+    codes.append(main(["experiment", "qma1", "--n", "1", "--shots", "2"]))
+print(json.dumps({"codes": codes, "before": before, "after": bool(loaded())}))
+"""
+
+
+def test_numpy_loads_only_for_the_noisy_engine(tmp_path):
+    text = export_qasm(build_qma(AdderVariant.QMA4, 3))
+    good, cut = tmp_path / "good.qasm", tmp_path / "cut.qasm"
+    good.write_text(text)
+    cut.write_text("".join(text.splitlines(keepends=True)[:-1]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(good), str(cut)],
+                          env=_src_env(), capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0, 4, 0], "before": [], "after": True}
+
+
+def test_numpy_submodules_import_after_the_package():
+    script = ("import qmodadd; from numpy.linalg import norm; import numpy as np; "
+              "print(norm([3, 4]), np.arange(3).sum())")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "5.0 3\n"
+
+
 def test_experiment_zero_noise(capsys):
     code, stdout, _ = run_cli(
         capsys, "experiment", "qma1", "--n", "1", "--shots", "20",
@@ -518,6 +556,55 @@ def test_verify_chunks_report_the_first_failure_in_a_major_order(
         else:
             a, b, want, got = first
             assert (code, stdout) == (4, f"FAIL {bad} a={a} b={b}: expected {want}, got {got}\n")
+
+
+def _mutants(built):
+    """The adder with one gate deleted, for each gate, and with two
+    adjacent gates swapped, for each pair."""
+    gates = built.circuit.gates
+    for index in range(len(gates)):
+        yield gates[:index] + gates[index + 1:]
+    for index in range(len(gates) - 1):
+        yield gates[:index] + (gates[index + 1], gates[index]) + gates[index + 2:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bit_plane_check_agrees_with_one_run_per_pair(monkeypatch, n):
+    side = (1 << n) + 1
+    failures = 0
+    for variant in AdderVariant:
+        built = build_qma(variant, n)
+        for gates in _mutants(built):
+            mutant = dataclasses.replace(
+                built, circuit=dataclasses.replace(built.circuit, gates=gates))
+            first = _first_failure(mutant)
+            failures += first is not None
+            for lanes in (1, 7, side, 1024):
+                monkeypatch.setattr(cli, "_VERIFY_LANES", lanes)
+                assert cli._check_adder(mutant) == first, (variant, gates, lanes)
+    assert failures  # the mutants reach the failure path
+
+
+@pytest.mark.parametrize("lanes", [1, 7, 10, 1024])
+def test_lane_chunks_hold_every_pair_and_its_sums(lanes):
+    for n in range(1, 6):
+        side = (1 << n) + 1
+        seen = 0
+        for start, stop, *planes in cli._lane_chunks(n, lanes):
+            assert start == seen and stop == min(start + lanes, side * side)
+            seen = stop
+            for lane in range(stop - start):
+                a, b, mod, total = (decode([(p >> lane) & 1 for p in group], range(len(group)))
+                                    for group in planes)
+                assert (a, b) == divmod(start + lane, side)
+                assert (mod, total) == (mod_add_plus_one(n, a, b), a + b)
+        assert seen == side * side
+
+
+def test_verify_all_prints_one_ok_line_per_adder(capsys):
+    want = "".join(f"ok {variant.value} n={n} ({((1 << n) + 1) ** 2} inputs)\n"
+                   for n in range(1, 8) for variant in AdderVariant)
+    assert run_cli(capsys, "verify", "--all", "--n", "1..7") == (0, want, "")
 
 
 def test_verify_gateless_qasm_fails_at_the_first_pair(tmp_path, capsys):

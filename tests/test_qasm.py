@@ -114,6 +114,21 @@ def test_only_lf_crlf_and_cr_end_a_line(char):
         assert parse_qasm(commented.replace("\n", newline)) == expected
 
 
+@pytest.mark.parametrize("blank", ["\u3000", "\u00a0", "\u2003"])
+@pytest.mark.parametrize("text, line", [
+    ("OPENQASM{}3.0;\nqubit[2] q;\n", 1),
+    ("OPENQASM 3.0;\nqubit[2]{}q;\n", 2),
+    ("OPENQASM 3.0;\nqubit[2] q;\ncx q[0],{}q[1];\n", 3),
+    ("OPENQASM 3.0;\nqubit[2] q;\nx q[0];\n{}x q[1];\n", 4),
+    ("OPENQASM 3.0;\nqubit[2] q;\nx q[0];{}\n", 3),
+])
+def test_only_ascii_space_and_tab_are_blanks(blank, text, line):
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(text.format(blank))
+    assert err.value.line == line
+    assert parse_qasm(text.format("\t")) == parse_qasm(text.format(" "))
+
+
 def test_huge_operand_is_a_width_mismatch():
     operand = "q[" + "9" * 5000 + "]"
     with pytest.raises(WidthMismatch) as err:
