@@ -12,11 +12,13 @@ noisy engine, loads numpy.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import functools
 import itertools
 import json
+import operator
 import os
 import sys
 
@@ -181,10 +183,10 @@ def cmd_build(args) -> int:
             raise OSError(f"cannot write {args.output}: {err}")
     else:
         sys.stdout.write(text)
-    count = built.circuit.count
+    count = collections.Counter(map(operator.attrgetter("kind"), built.circuit.gates))
     print(
-        f"{built.variant.value}: width={built.circuit.width} cnot={count(GateKind.CNOT)} "
-        f"toffoli={count(GateKind.TOFFOLI)} resets={count(GateKind.RESET)}",
+        f"{built.variant.value}: width={built.circuit.width} cnot={count[GateKind.CNOT]} "
+        f"toffoli={count[GateKind.TOFFOLI]} resets={count[GateKind.RESET]}",
         file=sys.stderr,
     )
     return EXIT_OK

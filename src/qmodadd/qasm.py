@@ -5,14 +5,17 @@ Export is deterministic byte-for-byte.  A structured leading comment
 simulated and scored without rebuilding.  The parser is one hand-rolled
 scanner that never raises anything but the diagnostic error types,
 whatever the input bytes.  It reads each distinct line of a text once, so
-equal statements share one `Gate` object, as the builders' gates do; the
-export-form statements are also shared across calls, through `_RECENT`.
+equal statements share one `Gate` object, as the builders' gates do.
+`export_circuit` keeps the statements it writes, each with its `Gate`, in
+`_RECENT`, so a text this process exported is read back without building
+a `Gate`; parsing never writes there.
 """
 from __future__ import annotations
 
 import json
 import operator
 import re
+from itertools import chain, islice, repeat
 
 from .builders import AdderVariant, BuiltAdder, RegisterLayout
 from .circuits import Circuit, Gate, GateKind
@@ -59,12 +62,25 @@ def export_qasm(built: BuiltAdder) -> str:
 
 
 def export_circuit(circuit: Circuit) -> str:
-    """Serialize a bare circuit (no layout metadata)."""
-    gates = circuit.gates
-    lines = ["OPENQASM 3.0;", f"qubit[{circuit.width}] q;"]
-    lines += map(operator.mod, map(_TEMPLATES.__getitem__, map(_KIND, gates)),
-                 map(_OPERANDS, gates))
-    return "\n".join(lines) + "\n"
+    """Serialize a bare circuit (no layout metadata).
+
+    Each distinct statement is also kept in `_RECENT` with its own `Gate`,
+    so a later `parse_qasm` of the text builds none; `_RECENT` has no other
+    writer.  The statements are kept only when the width, each distinct
+    gate and each of its operands are exactly `int`, `Gate` and `int`, as
+    only then is the kept gate the one the reader would build from the line.
+    """
+    gates, width = circuit.gates, circuit.width
+    body = list(map(operator.mod, map(_TEMPLATES.__getitem__, map(_KIND, gates)),
+                    map(_OPERANDS, gates)))
+    kept = dict(zip(body, gates))
+    wires = chain.from_iterable(map(_OPERANDS, kept.values()))
+    if (type(width) is int and set(map(type, kept.values())) <= {Gate}
+            and set(map(type, wires)) <= {int}):
+        if len(_RECENT) + len(kept) > _RECENT_MAX:
+            _RECENT.clear()
+        _RECENT.update(islice(zip(kept, zip(kept.values(), repeat(width - 1))), _RECENT_MAX))
+    return "\n".join(["OPENQASM 3.0;", f"qubit[{width}] q;", *body, ""])
 
 
 #: kind -> its statement with one `q[%s]` per operand, e.g. "cx q[%s], q[%s];"
@@ -90,10 +106,10 @@ _EXPORTED_STMT = re.compile(
     rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;"
 )
 
-#: export-form statement line -> (its Gate, its highest wire), shared by
-#: every parse_qasm call, since the four variants of one n repeat most of
-#: each other's statements.  Emptied when it reaches _RECENT_MAX lines; the
-#: digits are bounded, so an entry is a few hundred bytes.
+#: statement line -> (its Gate, a bound on its highest wire), written by
+#: export_circuit only, with the exporting circuit's width - 1 as the bound,
+#: and read by every parse_qasm call.  Emptied when an export would take it
+#: past _RECENT_MAX lines; an entry is a few hundred bytes.
 _RECENT: dict[str, tuple[Gate, int]] = {}
 _RECENT_MAX = 1 << 11
 
@@ -104,11 +120,14 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     Lines end at LF, CRLF or CR only, and the only blanks are ASCII space
     and tab, as in OpenQASM.  The header lines are read in order,
     and the one register must be named `q`; then each distinct body line
-    is read once, and equal statements share one `Gate` object.  A line in
-    `export_qasm`'s form is accepted by one match or found among the
-    `_RECENT_MAX` kept by earlier calls, and is taken if its highest wire
-    is below the width.  Any other line goes to the statement parser, the
-    only source of diagnostics, so earlier calls never change a result.
+    is read once, and equal statements share one `Gate` object.  A line
+    kept by an earlier `export_circuit` is one lookup, with no new `Gate`,
+    and another line in `export_qasm`'s form is one match; either is taken
+    if its bound (the exporting width - 1, or the highest wire matched) is
+    below the width.  Any other line goes to the statement parser, the
+    only source of diagnostics.  A kept line maps to a `Gate` equal to the
+    one a match would build, and parsing keeps nothing, so earlier calls
+    never change a result.
 
     The first layout comment is all or nothing: only a usable one (see
     `_parse_layout`) yields the layout and sets the label to the variant.
@@ -175,10 +194,6 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
                 entry = Gate(_KINDS[name], operands), max(operands)
             except (ArityMismatch, DuplicateOperand):
                 pass
-            else:
-                if len(recent) >= _RECENT_MAX:
-                    recent.clear()
-                recent[raw] = entry
         if entry is not None and entry[1] < width:
             table[raw] = entry[0]
             continue

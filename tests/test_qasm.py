@@ -1,12 +1,13 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmodadd import qasm
 from qmodadd.builders import AdderVariant, build_qma
-from qmodadd.circuits import Circuit, GateKind, x
+from qmodadd.circuits import Circuit, Gate, GateKind, cnot, reset, toffoli, x
 from qmodadd.errors import (
     DuplicateOperand,
     QasmError,
@@ -329,13 +330,14 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
 
 def test_earlier_calls_do_not_change_a_result(monkeypatch):
     rng = random.Random(21)
-    source = export_qasm(build_qma(AdderVariant.QMA1, 4))
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    built = build_qma(AdderVariant.QMA1, 4)
+    source = export_qasm(built)
     # Narrower declarations reuse the export's lines, some of them now
     # out of range.
     texts = [source] + [source.replace("qubit[17]", f"qubit[{width}]")
                         for width in (16, 9, 2)]
     texts += [_mutate(rng, source, 17) for _ in range(40)]
-    monkeypatch.setattr(qasm, "_RECENT", {})
     in_order = [_outcome(text) for text in texts]
     in_reverse = [_outcome(text) for text in reversed(texts)][::-1]
     alone = []
@@ -344,8 +346,9 @@ def test_earlier_calls_do_not_change_a_result(monkeypatch):
         alone.append(_outcome(text))
     assert in_order == in_reverse == alone
     assert isinstance(in_order[0][0], Circuit)
-    # A kept statement whose wire is out of range raises at its line.
-    parse_qasm(source)
+    # A statement kept by an export whose wire is out of range raises at
+    # its line.
+    assert export_qasm(built) == source
     first = next(no for no, line in enumerate(source.splitlines(), start=1)
                  if "q[16]" in line)
     assert source.splitlines()[first - 1] in qasm._RECENT
@@ -358,14 +361,21 @@ def test_kept_statements_are_bounded(monkeypatch):
     monkeypatch.setattr(qasm, "_RECENT", {})
     wires = qasm._RECENT_MAX + 100
     header = f"OPENQASM 3.0;\nqubit[{wires}] q;\n"
-    circuit = parse_qasm(header + "".join(f"x q[{w}];\n" for w in range(wires)))[0]
-    assert len(circuit.gates) == wires
+    text = header + "".join(f"x q[{w}];\n" for w in range(wires))
+    # An export of more distinct statements than the table holds.
+    assert export_circuit(Circuit(wires, tuple(map(x, range(wires))))) == text
     assert 0 < len(qasm._RECENT) <= qasm._RECENT_MAX
+    kept = dict(qasm._RECENT)
+    circuit = parse_qasm(text)[0]
+    assert len(circuit.gates) == wires
+    assert qasm._RECENT == kept
     qasm._RECENT.clear()
-    comment = "// " + "c" * 100_000
-    # Only export-form statements that build a gate are kept.
+    export_circuit(Circuit(2, (x(0), cnot(0, 1), x(0))))
     kept = ["x q[0];", "cx q[0], q[1];"]
-    lines = [comment, "cx q[0],q[1];", "h q[0];"]
+    assert list(qasm._RECENT) == kept
+    comment = "// " + "c" * 100_000
+    # No parse call keeps a statement, failing ones included.
+    lines = [comment, "x q[1];", "cx q[0],q[1];", "h q[0];"]
     with pytest.raises(SubsetViolation):
         parse_qasm(header + "\n".join(kept + lines))
     assert list(qasm._RECENT) == kept
@@ -395,14 +405,70 @@ def test_equal_statements_share_one_gate_off_the_export_form():
         assert len({id(gate) for gate in circuit.gates}) == len(statements)
 
 
+def _fresh(text):
+    """What a reader with no kept statement and no export-form match gives."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qasm, "_RECENT", {})
+        patch.setattr(qasm, "_EXPORTED_STMT", re.compile("(?!)"))
+        return _outcome(text)
+
+
 def test_fast_path_reads_every_export(monkeypatch):
     counts = [0]
     _count_parsed(monkeypatch, counts)
+    fed = {}
     for n in range(1, 97):
         for variant in AdderVariant:
             built = build_qma(variant, n)
-            circuit, layout = parse_qasm(export_qasm(built))
+            text = export_qasm(built)
+            circuit, layout = parse_qasm(text)
             assert (circuit, layout) == (built.circuit, built.layout)
+            # The export kept each statement with its own Gate: none is new.
+            assert set(map(id, circuit.gates)) <= set(map(id, built.circuit.gates))
+            if n <= 12 or n == 96:
+                fed[text] = circuit, layout
     bare = Circuit(built.circuit.width, built.circuit.gates)
-    assert parse_qasm(export_circuit(bare)) == (bare, None)
+    for circuit in (bare, Circuit(2), Circuit(5, (x(4), cnot(0, 4), toffoli(3, 1, 2),
+                                                  reset(0), cnot(0, 4)))):
+        text = export_circuit(circuit)
+        fed[text] = parse_qasm(text)
+        assert fed[text] == (circuit, None)
     assert counts == [0]
+    # A table fed by the exports reads each text as a fresh reader does.
+    for text, got in fed.items():
+        assert _fresh(text) == got
+
+
+class _DuckGate:
+    """Has a Gate's fields, so a circuit takes it and exports it."""
+
+    def __init__(self, kind, operands):
+        self.kind, self.operands = kind, operands
+
+
+@pytest.mark.parametrize("odd", [
+    Gate(GateKind.X, (True,)),
+    Gate(GateKind.CNOT, (1.0, 2)),
+    Gate(GateKind.CNOT, (np.int64(3), np.int64(1))),
+    _DuckGate(GateKind.X, (3,)),
+], ids=["bool", "float", "int64", "duck"])
+def test_export_keeps_only_gates_with_int_wires(monkeypatch, odd):
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    text = export_circuit(Circuit(4, (x(0), odd, cnot(0, 1))))
+    assert qasm._RECENT == {}
+    got = _outcome(text)
+    assert got == _fresh(text)
+    if isinstance(got[0], Circuit):
+        assert {type(gate) for gate in got[0].gates} == {Gate}
+        assert {type(w) for gate in got[0].gates for w in gate.operands} == {int}
+    else:
+        assert got[0] is QasmSyntaxError and got[1].startswith("4:1: ")
+
+
+def test_export_keeps_nothing_of_a_width_that_is_not_an_int(monkeypatch):
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    text = export_circuit(Circuit(2.5, (x(2),)))
+    assert qasm._RECENT == {}
+    with pytest.raises(WidthMismatch) as err:
+        parse_qasm(text.replace("qubit[2.5]", "qubit[2]"))
+    assert err.value.line == 3
