@@ -19,20 +19,23 @@ comes in two measures, and `analyze` uses one for each kind:
   from QMA1 to QMA2, as the paper reports.
 
 One walk over the gates (`_walk`) gives both measures, the gate counts
-and the total depth; `analyze` takes all four from it.
+and the total depth; `analyze` takes all four from it, once per circuit,
+which keeps the report.  A `Gate` keeps its QASM statement, formatted once.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArityMismatch, DuplicateOperand, EmptyInput, OperandOutOfRange
 
 
 class GateKind(Enum):
-    """Gate kind; the value is the QASM statement name, `arity` the operand count."""
+    """Gate kind; the value is the QASM statement name, `arity` the operand
+    count, `template` the statement with a `q[%s]` per operand."""
 
     X = ("x", 1)
     CNOT = ("cx", 2)
@@ -43,6 +46,7 @@ class GateKind(Enum):
         member = object.__new__(cls)
         member._value_ = name
         member.arity = arity
+        member.template = f"{name} {', '.join(['q[%s]'] * arity)};"
         return member
 
     # Members are singletons; Enum's own __hash__ runs Python code per call.
@@ -55,10 +59,12 @@ class Gate:
 
     For CNOT the operands are (control, target); for TOFFOLI
     (control, control, target).  Operands must be pairwise distinct.
+    `statement`, the filled template, is left out of eq, hash and repr.
     """
 
     kind: GateKind
     operands: tuple[int, ...]
+    statement: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.operands) is not tuple:
@@ -70,6 +76,7 @@ class Gate:
             )
         if len(set(self.operands)) != len(self.operands):
             raise DuplicateOperand(f"repeated wire in {self.kind.name}{self.operands}")
+        object.__setattr__(self, "statement", self.kind.template % self.operands)
 
 
 def x(wire: int) -> Gate:
@@ -107,8 +114,19 @@ class Circuit:
                         f"{gate.kind.name}{gate.operands}"
                     )
 
-    def count(self, kind: GateKind) -> int:
-        return sum(1 for g in self.gates if g.kind is kind)
+    @cached_property
+    def _report(self) -> ResourceReport:
+        """`analyze`'s report, from one `_walk` on first use."""
+        counts, cnot_depth, toffoli_depth, total_depth = _walk(
+            self, GateKind.TOFFOLI, GateKind.CNOT
+        )
+        return ResourceReport(
+            label=self.label, width=self.width, cnot_count=counts[GateKind.CNOT],
+            toffoli_count=counts[GateKind.TOFFOLI], x_count=counts[GateKind.X],
+            reset_count=counts[GateKind.RESET], cnot_depth=cnot_depth,
+            toffoli_depth=toffoli_depth, total_depth=total_depth,
+            fom=self.width * toffoli_depth,
+        )
 
 
 def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
@@ -228,21 +246,8 @@ COMPARE_FIELDS = (
 
 
 def analyze(circuit: Circuit) -> ResourceReport:
-    counts, cnot_depth, toffoli_depth, total_depth = _walk(
-        circuit, GateKind.TOFFOLI, GateKind.CNOT
-    )
-    return ResourceReport(
-        label=circuit.label,
-        width=circuit.width,
-        cnot_count=counts[GateKind.CNOT],
-        toffoli_count=counts[GateKind.TOFFOLI],
-        x_count=counts[GateKind.X],
-        reset_count=counts[GateKind.RESET],
-        cnot_depth=cnot_depth,
-        toffoli_depth=toffoli_depth,
-        total_depth=total_depth,
-        fom=circuit.width * toffoli_depth,
-    )
+    """The circuit's report; it walks the gates the first time only."""
+    return circuit._report
 
 
 def round2(value: Fraction) -> Decimal:

@@ -12,19 +12,17 @@ noisy engine, loads numpy.
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import dataclasses
 import functools
 import itertools
 import json
-import operator
 import os
 import sys
 
 from . import __version__
 from .builders import AdderVariant, BuiltAdder, build_qma, decode
-from .circuits import GateKind, analyze, compare
+from .circuits import analyze, compare
 from .errors import QmodaddError
 from .metrics import run_sweep
 from .oracle import mod_add_plus_one
@@ -183,10 +181,10 @@ def cmd_build(args) -> int:
             raise OSError(f"cannot write {args.output}: {err}")
     else:
         sys.stdout.write(text)
-    count = collections.Counter(map(operator.attrgetter("kind"), built.circuit.gates))
+    report = analyze(built.circuit)  # kept on the circuit: walked once
     print(
-        f"{built.variant.value}: width={built.circuit.width} cnot={count[GateKind.CNOT]} "
-        f"toffoli={count[GateKind.TOFFOLI]} resets={count[GateKind.RESET]}",
+        f"{built.variant.value}: width={report.width} cnot={report.cnot_count} "
+        f"toffoli={report.toffoli_count} resets={report.reset_count}",
         file=sys.stderr,
     )
     return EXIT_OK

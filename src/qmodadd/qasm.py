@@ -6,9 +6,9 @@ simulated and scored without rebuilding.  The parser is one hand-rolled
 scanner that never raises anything but the diagnostic error types,
 whatever the input bytes.  It reads each distinct line of a text once, so
 equal statements share one `Gate` object, as the builders' gates do.
-`export_circuit` keeps the statements it writes, each with its `Gate`, in
-`_RECENT`, so a text this process exported is read back without building
-a `Gate`; parsing never writes there.
+`export_circuit` joins the `Gate.statement`s, each formatted once, and
+keeps them, each with its `Gate`, in `_RECENT`, so a text this process
+exported is read back without building a `Gate`; parsing never writes there.
 """
 from __future__ import annotations
 
@@ -64,28 +64,30 @@ def export_qasm(built: BuiltAdder) -> str:
 def export_circuit(circuit: Circuit) -> str:
     """Serialize a bare circuit (no layout metadata).
 
-    Each distinct statement is also kept in `_RECENT` with its own `Gate`,
-    so a later `parse_qasm` of the text builds none; `_RECENT` has no other
-    writer.  The statements are kept only when the width, each distinct
-    gate and each of its operands are exactly `int`, `Gate` and `int`, as
-    only then is the kept gate the one the reader would build from the line.
+    The body joins each gate's `statement`, formatted once when it was
+    built, or, unless every gate is exactly a `Gate`, fills each kind's
+    `template` the same way.  Each distinct statement is also kept in
+    `_RECENT` with its own `Gate`, so a later `parse_qasm` of the text
+    builds none; `_RECENT` has no other writer.  The statements are kept
+    only when the width, each gate and each operand are exactly `int`,
+    `Gate` and `int`, as only then is the kept gate the one the reader
+    would build from the line.
     """
     gates, width = circuit.gates, circuit.width
-    body = list(map(operator.mod, map(_TEMPLATES.__getitem__, map(_KIND, gates)),
-                    map(_OPERANDS, gates)))
+    exact = set(map(type, gates)) <= {Gate}
+    body = list(map(_STATEMENT, gates)) if exact else list(
+        map(operator.mod, map(_TEMPLATE, gates), map(_OPERANDS, gates)))
     kept = dict(zip(body, gates))
     wires = chain.from_iterable(map(_OPERANDS, kept.values()))
-    if (type(width) is int and set(map(type, kept.values())) <= {Gate}
-            and set(map(type, wires)) <= {int}):
+    if exact and type(width) is int and set(map(type, wires)) <= {int}:
         if len(_RECENT) + len(kept) > _RECENT_MAX:
             _RECENT.clear()
         _RECENT.update(islice(zip(kept, zip(kept.values(), repeat(width - 1))), _RECENT_MAX))
     return "\n".join(["OPENQASM 3.0;", f"qubit[{width}] q;", *body, ""])
 
 
-#: kind -> its statement with one `q[%s]` per operand, e.g. "cx q[%s], q[%s];"
-_TEMPLATES = {k: f"{k.value} {', '.join(['q[%s]'] * k.arity)};" for k in GateKind}
-_KIND, _OPERANDS = operator.attrgetter("kind"), operator.attrgetter("operands")
+_STATEMENT, _TEMPLATE, _OPERANDS = map(
+    operator.attrgetter, ("statement", "kind.template", "operands"))
 
 #: OpenQASM's whitespace, the only blank the patterns and line strips allow
 _BLANK = " \t"
@@ -280,7 +282,8 @@ def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] 
         return None
     if (len(a), len(b), len(mods)) != (n + 1,) * 3 or len(sums) < n + 2:
         return None
-    if not all(type(w) is int and 0 <= w < width for w in a + b + sums + mods):
+    wires = a + b + sums + mods
+    if not set(map(type, wires)) <= {int} or min(wires) < 0 or max(wires) >= width:
         return None
     if len({*a, *b}) != 2 * n + 2 or len({*sums, *mods}) != len(sums) + len(mods):
         return None

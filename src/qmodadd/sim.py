@@ -100,6 +100,8 @@ class NoiseModel:
             value = getattr(self, field.name)
             if not 0.0 <= value < 0.5:
                 raise InvalidProbability(f"{field.name}={value} outside [0, 0.5)")
+            # -0.0 == 0.0, and equal models must print alike.
+            object.__setattr__(self, field.name, value + 0.0)
 
 
 #: Frozen defaults for the experiment harness and the CLI.  Majority

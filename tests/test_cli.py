@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qmodadd
-from qmodadd import cli
+from qmodadd import circuits, cli
 from qmodadd.builders import AdderVariant, BuiltAdder, _build_all, build_qma, decode
+from qmodadd.circuits import GateKind, analyze
 from qmodadd.cli import main
 from qmodadd.errors import QmodaddError
 from qmodadd.oracle import mod_add_plus_one
 from qmodadd.qasm import MAX_WIDTH, export_qasm, parse_qasm
-from qmodadd.sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, run_exact
+from qmodadd.sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, NoiseModel, run_exact
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +140,7 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 import qmodadd
+from qmodadd.circuits import GateKind, analyze
 from qmodadd.cli import main
 good, cut = sys.argv[1:]
 def loaded():
@@ -297,6 +300,15 @@ def test_experiment_noise_key_sets_its_fields(capsys, key, fields):
     assert json.loads(stdout)["noise"] == expected
 
 
+def test_equal_noise_models_print_alike(capsys):
+    base = ("experiment", "qma1", "--n", "1", "--shots", "50", "--seed", "3", "--noise")
+    for tokens in (["idle=0"], ["idle=-0.0"]), (["gate=0", "delta=0"], ["gate=-0", "delta=-0.0"]):
+        runs = [run_cli(capsys, *base, *spec) for spec in tokens]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+    assert math.copysign(1, NoiseModel(p_idle=-0.0).p_idle) == 1
+
+
 _EXPERIMENT = ["experiment", "--all", "--n", "2", "--shots", "50", "--seed", "3"]
 _GOLDEN_ARGV = (
     [["analyze", "--all", "--n", str(n), "--format", fmt]
@@ -322,6 +334,32 @@ def test_golden_cli_digest(capsys):
     runs = [[argv, *run_cli(capsys, *argv)] for argv in _GOLDEN_ARGV]
     digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
     assert digest == "833f32ee99109014ed8087938ac67b71ab416dd299d2c04f6c24c1691fb68790"
+
+
+def test_analyze_then_build_walk_each_adder_once(capsys, monkeypatch):
+    walked = []
+    walk = circuits._walk
+    monkeypatch.setattr(circuits, "_walk", lambda *args: walked.append(args[0]) or walk(*args))
+    _build_all.cache_clear()
+    assert run_cli(capsys, "analyze", "--all", "--n", "5", "--format", "json")[0] == 0
+    for variant in AdderVariant:
+        assert run_cli(capsys, "build", variant.value, "--n", "5")[0] == 0
+    assert run_cli(capsys, "analyze", "--all", "--n", "5", "--format", "table")[0] == 0
+    assert len(walked) == len(set(map(id, walked))) == 4
+
+
+@pytest.mark.parametrize("variant", list(AdderVariant))
+def test_build_summary_is_the_report(capsys, variant):
+    for n in range(1, 13):
+        code, _, stderr = run_cli(capsys, "build", variant.value, "--n", str(n))
+        circuit = build_qma(variant, n).circuit
+        report = analyze(circuit)
+        counts = [sum(gate.kind is kind for gate in circuit.gates)
+                  for kind in (GateKind.CNOT, GateKind.TOFFOLI, GateKind.RESET)]
+        assert [report.cnot_count, report.toffoli_count, report.reset_count] == counts
+        cnot, toffoli, resets = counts
+        assert (code, stderr) == (0, f"{variant.value}: width={circuit.width} "
+                                     f"cnot={cnot} toffoli={toffoli} resets={resets}\n")
 
 
 def test_verify_all_small(capsys):

@@ -472,3 +472,31 @@ def test_export_keeps_nothing_of_a_width_that_is_not_an_int(monkeypatch):
     with pytest.raises(WidthMismatch) as err:
         parse_qasm(text.replace("qubit[2.5]", "qubit[2]"))
     assert err.value.line == 3
+
+
+def test_export_formats_duck_gates_by_the_template_beside_gates(monkeypatch):
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    gates = (x(0), _DuckGate(GateKind.TOFFOLI, (0, 1, 3)), cnot(2, 1),
+             Gate(GateKind.X, (True,)), _DuckGate(GateKind.RESET, (2,)), x(0))
+    body = "".join(gate.kind.template % gate.operands + "\n" for gate in gates)
+    assert export_circuit(Circuit(4, gates)) == "OPENQASM 3.0;\nqubit[4] q;\n" + body
+    assert qasm._RECENT == {}
+
+
+@given(st.sampled_from(list(GateKind)), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_statement_is_the_kinds_template_filled_once(kind, exact, data):
+    wires = data.draw(st.lists(st.integers(0, 300), min_size=kind.arity,
+                               max_size=kind.arity, unique=True))
+    types = [int] * kind.arity if exact else data.draw(st.lists(
+        st.sampled_from([int, float, np.int64, bool]), min_size=kind.arity,
+        max_size=kind.arity))
+    # bool only for 0 and 1, so the wires stay distinct
+    operands = tuple(t(w) if t is not bool or w < 2 else w for t, w in zip(types, wires))
+    gate = Gate(kind, operands)
+    assert gate.statement == kind.template % gate.operands
+    assert gate == Gate(kind, tuple(map(int, operands)))
+    assert "statement" not in repr(gate)
+    if exact:
+        text = f"OPENQASM 3.0;\nqubit[{max(wires) + 1}] q;\n" + gate.statement
+        assert parse_qasm(text)[0].gates == (gate,)
