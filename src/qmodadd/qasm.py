@@ -9,6 +9,9 @@ equal statements share one `Gate` object, as the builders' gates do.
 `export_circuit` joins the `Gate.statement`s, each formatted once, and
 keeps them, each with its `Gate`, in `_RECENT`, so a text this process
 exported is read back without building a `Gate`; parsing never writes there.
+Every other line goes to the one statement parser: the export format is
+defined only by `GateKind.template`, and the reader knows only the
+subset's grammar.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from itertools import chain, islice, repeat
 from .builders import AdderVariant, BuiltAdder, RegisterLayout
 from .circuits import Circuit, Gate, GateKind
 from .errors import (
-    ArityMismatch,
     DuplicateOperand,
     QasmSyntaxError,
     QmodaddError,
@@ -101,12 +103,6 @@ _OPERAND_RE = re.compile(r"^q\[([0-9]+)\]$")
 _QUBIT_RE = re.compile(
     r"^qubit\[([0-9]+)\][ \t]+([A-Za-z_][A-Za-z0-9_]*)[ \t]*;[ \t]*(?://.*)?$"
 )
-#: a statement in export form; its digits are ASCII and bounded, so int()
-#: never meets its digit limit
-_DIGITS = f"([0-9]{{1,{len(str(MAX_WIDTH))}}})"
-_EXPORTED_STMT = re.compile(
-    rf"({'|'.join(_KINDS)}) q\[{_DIGITS}\](?:, q\[{_DIGITS}\](?:, q\[{_DIGITS}\])?)?;"
-)
 
 #: statement line -> (its Gate, a bound on its highest wire), written by
 #: export_circuit only, with the exporting circuit's width - 1 as the bound,
@@ -124,12 +120,13 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     and the one register must be named `q`; then each distinct body line
     is read once, and equal statements share one `Gate` object.  A line
     kept by an earlier `export_circuit` is one lookup, with no new `Gate`,
-    and another line in `export_qasm`'s form is one match; either is taken
-    if its bound (the exporting width - 1, or the highest wire matched) is
-    below the width.  Any other line goes to the statement parser, the
-    only source of diagnostics.  A kept line maps to a `Gate` equal to the
-    one a match would build, and parsing keeps nothing, so earlier calls
-    never change a result.
+    taken if its bound (the exporting width - 1) is below the width.  Any
+    other line goes to the statement parser, the only source of
+    diagnostics.  A kept line maps to a `Gate` equal to the one the
+    statement parser would build, and parsing keeps nothing, so earlier
+    calls never change a result.  Operands are separated by single
+    commas: an empty one is a syntax error, but one trailing comma, as
+    OpenQASM 3 allows, is not.
 
     The first layout comment is all or nothing: only a usable one (see
     `_parse_layout`) yields the layout and sets the label to the variant.
@@ -188,14 +185,6 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
     recent = _RECENT
     for raw in table:
         entry = recent.get(raw)
-        if entry is None and (match := _EXPORTED_STMT.fullmatch(raw)):
-            name, a, b, c = match.groups()
-            operands = (int(a),) if b is None else (
-                (int(a), int(b)) if c is None else (int(a), int(b), int(c)))
-            try:
-                entry = Gate(_KINDS[name], operands), max(operands)
-            except (ArityMismatch, DuplicateOperand):
-                pass
         if entry is not None and entry[1] < width:
             table[raw] = entry[0]
             continue
@@ -231,10 +220,11 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
                 1,
             )
         raise QasmSyntaxError(f"unknown statement {name!r}", line_no, 1)
-    pieces = (piece.strip(_BLANK) for piece in match.group("args").split(","))
-    args = [piece for piece in pieces if piece]
+    pieces = [piece.strip(_BLANK) for piece in match.group("args").split(",")]
+    if not pieces[-1]:  # no operands, or OpenQASM's optional trailing comma
+        pieces.pop()
     operands = []
-    for piece in args:
+    for piece in pieces:
         operand_match = _OPERAND_RE.match(piece)
         if not operand_match:
             raise QasmSyntaxError(f"bad operand {piece!r}", line_no, 1)

@@ -152,11 +152,31 @@ def test_huge_operand_is_a_width_mismatch():
         pytest.param("OPENQASM 3.0;\nqubit[\u0663] q;\n", id="arabic-indic-width"),
         pytest.param("OPENQASM 3.0;\nqubit[2] q;\nx q[\u0661];\n", id="arabic-indic-operand"),
         pytest.param("OPENQASM 3.0;\nqubit[2] q;\ncx q[\uff10], q[1];\n", id="fullwidth-operand"),
+        pytest.param("OPENQASM 3.0;\nqubit[2] q;\ncx ,q[0],,q[1];\n", id="leading-comma"),
+        pytest.param("OPENQASM 3.0;\nqubit[2] q;\ncx q[0],, q[1];\n", id="doubled-comma"),
     ],
 )
 def test_syntax_errors(source):
     with pytest.raises(QasmSyntaxError):
         parse_qasm(source)
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("cx q[0],, q[1];", "bad operand ''"),
+    ("cx q[0], \t, q[1];", "bad operand ''"),
+    ("x q[0],,;", "bad operand ''"),
+    ("x;", "x takes 1 operand(s), got 0"),
+    ("x ,;", "bad operand ''"),
+])
+def test_empty_operand_is_an_error_at_its_line(statement, message):
+    with pytest.raises(QasmSyntaxError) as err:
+        parse_qasm(f"OPENQASM 3.0;\nqubit[2] q;\nx q[1];\n{statement}\n")
+    assert (err.value.line, str(err.value)) == (4, f"4:1: {message}")
+
+
+def test_one_trailing_comma_ends_an_operand_list():
+    text = "OPENQASM 3.0;\nqubit[3] q;\nx q[0],;\nccx q[0], q[1], q[2] , ;\n"
+    assert parse_qasm(text)[0].gates == (x(0), toffoli(0, 1, 2))
 
 
 @pytest.mark.parametrize(
@@ -309,9 +329,8 @@ def test_fast_path_agrees_with_the_line_parser(monkeypatch):
     for text in texts:
         counts.append(0)
         outcomes.append(_outcome(text))
-    # Every statement line through the statement parser: no export-form
-    # match, and no statement kept from earlier calls.
-    monkeypatch.setattr(qasm, "_EXPORTED_STMT", re.compile("(?!)"))
+    # Every statement line through the statement parser: no statement
+    # kept from earlier calls.
     monkeypatch.setattr(qasm, "_RECENT", {})
     counts.append(0)
     mismatches = [
@@ -406,10 +425,9 @@ def test_equal_statements_share_one_gate_off_the_export_form():
 
 
 def _fresh(text):
-    """What a reader with no kept statement and no export-form match gives."""
+    """What a reader with no kept statement gives."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qasm, "_RECENT", {})
-        patch.setattr(qasm, "_EXPORTED_STMT", re.compile("(?!)"))
         return _outcome(text)
 
 
@@ -437,6 +455,27 @@ def test_fast_path_reads_every_export(monkeypatch):
     # A table fed by the exports reads each text as a fresh reader does.
     for text, got in fed.items():
         assert _fresh(text) == got
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_cold_parse_reads_each_statement_once_by_the_statement_parser(monkeypatch, n):
+    """A text no export of this process kept: the one grammar reads it."""
+    parse_statement = qasm._parse_statement
+    read = []
+
+    def recorded(line, *args):
+        read.append(line)
+        return parse_statement(line, *args)
+
+    monkeypatch.setattr(qasm, "_parse_statement", recorded)
+    monkeypatch.setattr(qasm, "_RECENT", {})
+    for variant in AdderVariant:
+        built = build_qma(variant, n)
+        text = export_qasm(built)
+        qasm._RECENT.clear()
+        read.clear()
+        assert parse_qasm(text) == (built.circuit, built.layout)
+        assert sorted(read) == sorted(set(text.splitlines()[3:]))
 
 
 class _DuckGate:
