@@ -1,35 +1,8 @@
 """Modulo (2**n + 1) adder construction, analysis, and simulation toolkit.
 
-Only the noisy engine needs numpy, so importing the package does not load
-it: unless numpy is already imported, `sys.modules["numpy"]` starts as a
-lazy module, and numpy's own code runs on the first lookup of a name the
-module lacks, such as `np.arange`, or on the import of a submodule.
+Only the noisy engine and the experiment harness use numpy, and they
+import it where they run, so importing the package does not load it.
 """
-
-import sys
-import types
-from importlib.util import find_spec, module_from_spec
-
-
-class _LazyModule(types.ModuleType):
-    """A package that runs its code on the first lookup of a name it lacks,
-    `__path__` included, so importing one of its submodules loads it first.
-
-    importlib.util.LazyLoader's modules load on any lookup, and `import
-    numpy` itself reads `__spec__`; this one answers that from the
-    attributes it already has."""
-
-    def __getattr__(self, name):
-        self.__class__ = types.ModuleType
-        self.__path__ = self.__spec__.submodule_search_locations
-        self.__spec__.loader.exec_module(self)
-        return getattr(self, name)
-
-
-if "numpy" not in sys.modules and (_spec := find_spec("numpy")) is not None:
-    sys.modules["numpy"] = _numpy = module_from_spec(_spec)
-    del _numpy.__path__
-    _numpy.__class__ = _LazyModule
 
 from .builders import (
     AdderVariant,

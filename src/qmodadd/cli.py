@@ -6,8 +6,8 @@ stderr.  Exit codes: 0 success, 1 I/O failure, 2 usage error,
 3 ordering self-check failed, 4 verification mismatch.  `main(argv)`
 returns the exit code and may be called repeatedly in one process; its
 parser is built on first use and shared, so callers must not mutate it.
-`verify` checks bit planes of Python ints; only `experiment`, through the
-noisy engine, loads numpy.
+`verify` checks bit planes of Python ints; only `experiment` imports
+numpy, so the other subcommands run where numpy cannot be imported.
 """
 from __future__ import annotations
 

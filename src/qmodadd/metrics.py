@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
 from .builders import AdderVariant, build_qma
 from .circuits import ResourceReport, analyze, round2
 from .errors import EmptyInput, InvalidSMax, UnknownOption
@@ -28,6 +26,7 @@ def error_distance(ideal, observed):
 def aggregate(eds, s_max: int) -> tuple[Fraction, Fraction]:
     """Mean error distance and its normalization by s_max, both exact;
     `eds` is a list or an integer array."""
+    import numpy as np
     if len(eds) == 0:
         raise EmptyInput("no error distances to aggregate")
     if s_max < 1:
@@ -88,6 +87,7 @@ def run_experiment(
     (a + b + 1) mod (2^n + 1); "pre-decrement" decrements a (mod 2^n + 1)
     before encoding and scores against (a + b) mod (2^n + 1).
     """
+    import numpy as np
     if ideal_convention not in ("plus-one", "pre-decrement"):
         raise UnknownOption(f"unknown ideal convention {ideal_convention!r}")
     built = build_qma(variant, n)

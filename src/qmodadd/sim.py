@@ -10,8 +10,8 @@ Both apply gates through one kernel, `_apply`, to a state indexed by
 wire; a wire holds an int or an integer array with one lane per input
 (`run_exact`) or per (input, shot) pair (the noisy engine), or an int bit
 plane whose bit L is lane L (`run_exact` with `one=-1`, as `verify` runs
-it).  Only the noisy engine uses numpy, so only it loads numpy (see the
-package docstring).
+it).  Only the noisy engine uses numpy; its functions import it where
+they run, so `run_exact` works without it.
 
 The noisy engine, `noisy_modes` for many inputs and `run_noisy` for
 one, runs every (input x shot) lane of a call together: input-major
@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-
-import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, compute_layering
 from .errors import (
@@ -178,6 +176,7 @@ def _schedule(circuit: Circuit, noise: NoiseModel, reset_model: str,
     out if q = 0 or its wire is outside the light cone of `readout` at its
     flip: no later gate carries the wire's value into the readout before a
     reset erases it."""
+    import numpy as np
     if reset_model not in ("purify", "independent"):
         raise UnknownOption(f"unknown reset model {reset_model!r}")
     steps: list[tuple[Gate, int]] = []
@@ -244,6 +243,7 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
     _BLOCK_LANES.  Returns the readout wires, the sorted keys
     `input << len(readout) | value` of every (input, readout value) seen,
     and their counts."""
+    import numpy as np
     if len(bits) != circuit.width:
         raise LengthMismatch(
             f"state length {len(bits)} != circuit width {circuit.width}"
@@ -302,6 +302,7 @@ def _lane_keys(table, start, stop, shots, schedule, rng,
     value` seen in them, and their counts.  Rows are padded to 2**shift
     lanes, copies of the last that nothing reads, so flat cell `row <<
     shift | lane` of a group's rows is that row's lane."""
+    import numpy as np
     lanes = stop - start
     shift = (lanes - 1).bit_length()
     inputs = np.arange(start // shots, (stop - 1) // shots + 1)
@@ -344,6 +345,7 @@ def _lane_keys(table, start, stop, shots, schedule, rng,
 def _modes(keys: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
     """The most frequent value of each input, in input order, from sorted
     keys `input << width | value`; ties go to the smallest value."""
+    import numpy as np
     inputs = keys >> np.uint64(width)
     order = np.lexsort((keys, -counts, inputs))
     ranked = inputs[order]
@@ -393,6 +395,7 @@ def run_noisy(
     segment (module docstring).  Deterministic in (circuit, bits, noise,
     shots, seed).
     """
+    import numpy as np
     if any(np.ndim(bit) for bit in bits):
         raise LengthMismatch("run_noisy takes one input; use noisy_modes for many")
     _, keys, counts = _tally(circuit, bits, noise, shots, seed, readout, reset_model)

@@ -144,7 +144,7 @@ from qmodadd.circuits import GateKind, analyze
 from qmodadd.cli import main
 good, cut = sys.argv[1:]
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("numpy."))
+    return sorted(name for name in sys.modules if name.split(".")[0] == "numpy")
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in (
         ["build", "qma3", "--n", "2"], ["analyze", "--all", "--n", "4", "--format", "json"],
@@ -174,6 +174,71 @@ def test_numpy_submodules_import_after_the_package():
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "5.0 3\n"
+
+
+_FIRST_NOISY_CALLS_IN_THREADS = """
+import json, threading
+from qmodadd import DEFAULT_NOISE, AdderVariant, build_qma, noisy_modes
+built = build_qma(AdderVariant.QMA2, 1)
+barrier, results = threading.Barrier(2), {}
+def first_call(name):
+    barrier.wait()
+    try:
+        results[name] = noisy_modes(built.circuit, built.encode(2, 1), DEFAULT_NOISE,
+                                    50, 7).tolist()
+    except Exception as exc:
+        results[name] = repr(exc)
+threads = [threading.Thread(target=first_call, args=(name,)) for name in "ab"]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(json.dumps({"alive": [t.is_alive() for t in threads], **results}))
+"""
+
+
+def test_first_noisy_calls_in_two_threads_agree():
+    """Two threads that make a process's first noisy call at once both see
+    all of numpy: README calls the simulators safe to share across threads."""
+    proc = subprocess.run([sys.executable, "-c", _FIRST_NOISY_CALLS_IN_THREADS],
+                          env=_src_env(), capture_output=True, text=True, check=True,
+                          timeout=120)
+    result = json.loads(proc.stdout)
+    assert result["alive"] == [False, False]
+    assert isinstance(result["a"], list) and result["a"] == result["b"]
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+import qmodadd
+from qmodadd.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in (
+        ["verify", "--all", "--n", "1..3"], ["analyze", "--all", "--n", "4", "--format", "json"],
+        ["build", "qma3", "--n", "2"],
+    )]
+built = qmodadd.build_qma(qmodadd.AdderVariant.QMA3, 2)
+circuit, _ = qmodadd.parse_qasm(qmodadd.export_qasm(built))
+parsed = circuit.gates == built.circuit.gates
+raised = []
+for _ in range(2):
+    try:
+        qmodadd.noisy_modes(built.circuit, built.encode(1, 2), qmodadd.DEFAULT_NOISE, 2, 0)
+    except Exception as exc:
+        raised.append(type(exc).__name__)
+print(json.dumps({"codes": codes, "parsed": parsed, "raised": raised}))
+"""
+
+
+def test_commands_without_numpy_run_and_the_noisy_engine_says_why():
+    # A None entry in sys.modules makes each import of numpy raise
+    # ModuleNotFoundError, the ImportError for a missing module.
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {
+        "codes": [0, 0, 0], "parsed": True,
+        "raised": ["ModuleNotFoundError", "ModuleNotFoundError"]}
 
 
 def test_experiment_zero_noise(capsys):
