@@ -96,9 +96,9 @@ def _require_distinct(wires: list[int], what: str) -> None:
 def build_nor_gadget(x_wire: int, y_wire: int, target: int) -> list[Gate]:
     """target ^= NOT(x or y); controls are restored.
 
-    One Toffoli wrapped in four NOTs; target is assumed |0>.
+    One Toffoli wrapped in four NOTs; target is assumed |0>.  The Toffoli
+    holds all three wires, so it refuses a repeated one.
     """
-    _require_distinct([x_wire, y_wire, target], "nor gadget")
     flips = [x(x_wire), x(y_wire)]
     return [*flips, toffoli(x_wire, y_wire, target), *flips]
 

@@ -24,13 +24,15 @@ which keeps the report.  A `Gate` keeps its QASM statement, formatted once.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ArityMismatch, DuplicateOperand, EmptyInput, OperandOutOfRange
+from .errors import (ArityMismatch, DuplicateOperand, EmptyInput, LengthMismatch,
+                     OperandOutOfRange, UnknownOption)
 
 
 class GateKind(Enum):
@@ -58,8 +60,10 @@ class Gate:
     """One operation: kind plus ordered operand wires.
 
     For CNOT the operands are (control, target); for TOFFOLI
-    (control, control, target).  Operands must be pairwise distinct.
-    `statement`, the filled template, is left out of eq, hash and repr.
+    (control, control, target).  Operands must be pairwise distinct, and
+    `operator.index` makes each an exact `int`: a bool or numpy integer
+    is taken, a float is not.  `statement`, the filled template, is left
+    out of eq, hash and repr.
     """
 
     kind: GateKind
@@ -67,16 +71,21 @@ class Gate:
     statement: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.operands) is not tuple:
-            object.__setattr__(self, "operands", tuple(self.operands))
-        if len(self.operands) != self.kind.arity:
+        kind = self.kind
+        if type(kind) is not GateKind:
+            raise UnknownOption(f"gate kind {kind!r} is not a GateKind")
+        try:
+            operands = tuple(map(operator.index, self.operands))
+        except TypeError:
+            raise OperandOutOfRange(
+                f"{kind.name} wires {self.operands!r} are not integers") from None
+        object.__setattr__(self, "operands", operands)
+        if len(operands) != kind.arity:
             raise ArityMismatch(
-                f"{self.kind.name} takes {self.kind.arity} operands, "
-                f"got {len(self.operands)}"
-            )
-        if len(set(self.operands)) != len(self.operands):
-            raise DuplicateOperand(f"repeated wire in {self.kind.name}{self.operands}")
-        object.__setattr__(self, "statement", self.kind.template % self.operands)
+                f"{kind.name} takes {kind.arity} operands, got {len(operands)}")
+        if len(set(operands)) != len(operands):
+            raise DuplicateOperand(f"repeated wire in {kind.name}{operands}")
+        object.__setattr__(self, "statement", kind.template % operands)
 
 
 def x(wire: int) -> Gate:
@@ -97,22 +106,31 @@ def reset(wire: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable ordered gate sequence over `width` wires.  A `Gate` is a
-    frozen value, so one object may sit at several positions."""
+    """Immutable ordered gate sequence over `width` wires, an int >= 0
+    (through `operator.index`), of `Gate`s with wires in [0, width).  A
+    `Gate` is a frozen value, so one object may sit at several positions."""
 
     width: int
     gates: tuple[Gate, ...] = ()
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for gate in self.gates:
+        try:
+            width = operator.index(self.width)
+        except TypeError:
+            width = -1  # refused with the negative widths
+        if width < 0:
+            raise LengthMismatch(f"circuit width {self.width!r} is not an int >= 0")
+        gates = tuple(self.gates)
+        if not set(map(type, gates)) <= {Gate}:
+            raise UnknownOption(f"circuit holds non-Gates: {set(map(type, gates)) - {Gate}}")
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "gates", gates)
+        for gate in gates:
             for wire in gate.operands:
-                if not 0 <= wire < self.width:
+                if not 0 <= wire < width:
                     raise OperandOutOfRange(
-                        f"wire {wire} outside [0, {self.width}) in "
-                        f"{gate.kind.name}{gate.operands}"
-                    )
+                        f"wire {wire} outside [0, {width}) in {gate.statement}")
 
     @cached_property
     def _report(self) -> ResourceReport:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .builders import AdderVariant, build_qma
 from .circuits import ResourceReport, analyze, round2
 from .errors import EmptyInput, InvalidSMax, UnknownOption
+from .oracle import mod_add_plus_one
 from .sim import NoiseModel, noisy_modes
 
 
@@ -110,7 +111,8 @@ def run_experiment(
     )
 
     mod_bits = len(mod_wires)
-    ideal = np.where(in_domain, (a + b + (0 if pre_decrement else 1)) % (limit + 1), -1)
+    ideal = np.full_like(a, -1)
+    ideal[in_domain] = mod_add_plus_one(n, encoded_a[in_domain], b[in_domain])
     observed = winners & ((1 << mod_bits) - 1)
     ed = np.where(in_domain, error_distance(ideal, observed), -1)
     med, nmed = aggregate(ed[in_domain], limit)

@@ -16,9 +16,8 @@ subset's grammar.
 from __future__ import annotations
 
 import json
-import operator
 import re
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 from .builders import AdderVariant, BuiltAdder, RegisterLayout
 from .circuits import Circuit, Gate, GateKind
@@ -67,29 +66,19 @@ def export_circuit(circuit: Circuit) -> str:
     """Serialize a bare circuit (no layout metadata).
 
     The body joins each gate's `statement`, formatted once when it was
-    built, or, unless every gate is exactly a `Gate`, fills each kind's
-    `template` the same way.  Each distinct statement is also kept in
-    `_RECENT` with its own `Gate`, so a later `parse_qasm` of the text
-    builds none; `_RECENT` has no other writer.  The statements are kept
-    only when the width, each gate and each operand are exactly `int`,
-    `Gate` and `int`, as only then is the kept gate the one the reader
-    would build from the line.
+    built.  Each distinct statement is also kept in `_RECENT` with its
+    own `Gate`, which, as `Gate` and `Circuit` admit only int wires and
+    widths, is the gate the reader would build from the line; a later
+    `parse_qasm` of the text builds none.
     """
     gates, width = circuit.gates, circuit.width
-    exact = set(map(type, gates)) <= {Gate}
-    body = list(map(_STATEMENT, gates)) if exact else list(
-        map(operator.mod, map(_TEMPLATE, gates), map(_OPERANDS, gates)))
+    body = [gate.statement for gate in gates]
     kept = dict(zip(body, gates))
-    wires = chain.from_iterable(map(_OPERANDS, kept.values()))
-    if exact and type(width) is int and set(map(type, wires)) <= {int}:
-        if len(_RECENT) + len(kept) > _RECENT_MAX:
-            _RECENT.clear()
-        _RECENT.update(islice(zip(kept, zip(kept.values(), repeat(width - 1))), _RECENT_MAX))
+    if len(_RECENT) + len(kept) > _RECENT_MAX:
+        _RECENT.clear()
+    _RECENT.update(islice(zip(kept, zip(kept.values(), repeat(width - 1))), _RECENT_MAX))
     return "\n".join(["OPENQASM 3.0;", f"qubit[{width}] q;", *body, ""])
 
-
-_STATEMENT, _TEMPLATE, _OPERANDS = map(
-    operator.attrgetter, ("statement", "kind.template", "operands"))
 
 #: OpenQASM's whitespace, the only blank the patterns and line strips allow
 _BLANK = " \t"
@@ -105,9 +94,9 @@ _QUBIT_RE = re.compile(
 )
 
 #: statement line -> (its Gate, a bound on its highest wire), written by
-#: export_circuit only, with the exporting circuit's width - 1 as the bound,
-#: and read by every parse_qasm call.  Emptied when an export would take it
-#: past _RECENT_MAX lines; an entry is a few hundred bytes.
+#: every export_circuit call only, with the circuit's width - 1 as the
+#: bound, and read by every parse_qasm call.  Emptied when an export would
+#: take it past _RECENT_MAX lines; an entry is a few hundred bytes.
 _RECENT: dict[str, tuple[Gate, int]] = {}
 _RECENT_MAX = 1 << 11
 
@@ -155,8 +144,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
         if not saw_version:
             if not re.match(r"^OPENQASM[ \t]+3(\.[0-9]+)?[ \t]*;[ \t]*(?://.*)?$", line):
                 raise QasmSyntaxError(
-                    f"expected OPENQASM 3 version line, got {line!r}", line_no, 1
-                )
+                    f"expected OPENQASM 3 version line, got {line!r}", line_no, 1)
             saw_version = True
             continue
         match = _QUBIT_RE.match(line)
@@ -170,8 +158,7 @@ def parse_qasm(text: str) -> tuple[Circuit, RegisterLayout | None]:
             width = MAX_WIDTH + 1
         if width > MAX_WIDTH:
             raise SubsetViolation(
-                f"register wider than the supported {MAX_WIDTH} qubits", line_no, 1
-            )
+                f"register wider than the supported {MAX_WIDTH} qubits", line_no, 1)
         break
     else:
         if not saw_version:
@@ -215,10 +202,7 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
     if kind is None:
         if name in _KNOWN_FOREIGN or name == "qubit":
             raise SubsetViolation(
-                f"statement {name!r} is outside the x/cx/ccx/reset subset",
-                line_no,
-                1,
-            )
+                f"statement {name!r} is outside the x/cx/ccx/reset subset", line_no, 1)
         raise QasmSyntaxError(f"unknown statement {name!r}", line_no, 1)
     pieces = [piece.strip(_BLANK) for piece in match.group("args").split(",")]
     if not pieces[-1]:  # no operands, or OpenQASM's optional trailing comma
@@ -232,26 +216,18 @@ def _parse_statement(line: str, line_no: int, width: int) -> Gate:
         try:
             operands.append(int(digits))
         except ValueError:  # past int()'s digit limit, so past any width
-            raise WidthMismatch(
-                f"operand index of {len(digits)} digits outside register of "
-                f"size {width}",
-                line_no,
-                1,
-            )
+            raise WidthMismatch(f"operand index of {len(digits)} digits outside "
+                                f"register of size {width}", line_no, 1)
     if len(operands) != kind.arity:
         raise QasmSyntaxError(
-            f"{name} takes {kind.arity} operand(s), got {len(operands)}",
-            line_no,
-            1,
-        )
+            f"{name} takes {kind.arity} operand(s), got {len(operands)}", line_no, 1)
     for wire in operands:
         if wire >= width:
             raise WidthMismatch(
-                f"operand q[{wire}] outside register of size {width}", line_no, 1
-            )
+                f"operand q[{wire}] outside register of size {width}", line_no, 1)
     if len(set(operands)) != len(operands):
         raise DuplicateOperand(f"{line_no}:1: repeated operand in {line!r}")
-    return Gate(kind, tuple(operands))
+    return Gate(kind, operands)
 
 
 def _parse_layout(blob: str, width: int) -> tuple[RegisterLayout, AdderVariant] | None:

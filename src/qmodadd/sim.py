@@ -36,6 +36,7 @@ one in version 0.2.0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -252,10 +253,13 @@ def _tally(circuit, bits, noise, shots, seed, readout, reset_model):
         raise InvalidShots(f"shots={shots} must be >= 1")
     if seed < 0:
         raise DomainError(f"seed={seed} is negative (a seed must be >= 0)")
-    readout = list(range(circuit.width)) if readout is None else list(readout)
-    for wire in readout:
-        if not 0 <= wire < circuit.width:
-            raise LengthMismatch(f"readout wire {wire} outside circuit")
+    readout = range(circuit.width) if readout is None else readout
+    try:
+        readout = list(map(operator.index, readout))
+    except TypeError:
+        raise LengthMismatch(f"readout wires {readout!r} are not integers") from None
+    if not set(readout) <= set(range(circuit.width)):
+        raise LengthMismatch(f"readout wires {readout} outside circuit")
     if not circuit.width:
         raise EmptyInput("a circuit of no wires has no input to run")
     try:

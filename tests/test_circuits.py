@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,7 +20,9 @@ from qmodadd.circuits import (
     total_depth,
     x,
 )
-from qmodadd.errors import ArityMismatch, DuplicateOperand, OperandOutOfRange
+from qmodadd.errors import (
+    ArityMismatch, DuplicateOperand, LengthMismatch, OperandOutOfRange, UnknownOption,
+)
 from qmodadd.sim import run_exact
 
 
@@ -70,6 +73,40 @@ def test_circuit_rejects_out_of_range_operands():
         Circuit(3, (x(0), toffoli(0, 1, 5)))
     with pytest.raises(OperandOutOfRange):
         Circuit(3, (x(-1),))
+
+
+class _DuckGate:
+    def __init__(self, kind, operands):
+        self.kind, self.operands = kind, operands
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Gate(GateKind.CNOT, (1.0, 2)), OperandOutOfRange),
+    (lambda: Gate(GateKind.X, (np.float64(0),)), OperandOutOfRange),
+    (lambda: Gate(GateKind.X, ("0",)), OperandOutOfRange),
+    (lambda: Gate(GateKind.X, 0), OperandOutOfRange),
+    (lambda: Gate("x", (0,)), UnknownOption),
+    (lambda: Circuit(2.5), LengthMismatch),
+    (lambda: Circuit(-1), LengthMismatch),
+    (lambda: Circuit("3"), LengthMismatch),
+    (lambda: Circuit(3, (x(0), _DuckGate(GateKind.X, (1,)))), UnknownOption),
+    (lambda: Circuit(3, ("x q[0];",)), UnknownOption),
+], ids=["float-wire", "numpy-float-wire", "str-wire", "int-operands", "str-kind",
+        "width-2.5", "width-minus-1", "str-width", "duck-gate", "str-gate"])
+def test_malformed_gates_and_circuits_are_refused_where_made(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_bool_and_numpy_wires_and_widths_become_ints():
+    gate = Gate(GateKind.CNOT, (True, np.int64(2)))
+    assert gate.operands == (1, 2) and set(map(type, gate.operands)) == {int}
+    assert gate == cnot(1, 2) and gate.statement == "cx q[1], q[2];"
+    circuit = Circuit(np.uint8(3), [gate])
+    assert type(circuit.width) is int and circuit == Circuit(3, (cnot(1, 2),))
+    assert Circuit(True).width == 1 and Circuit(0).gates == ()
+    with pytest.raises(DuplicateOperand):
+        Gate(GateKind.CNOT, (True, 1))
 
 
 @pytest.mark.parametrize(

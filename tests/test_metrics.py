@@ -106,8 +106,8 @@ def test_full_basis_reports_unscored_rows():
 )
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_printed_rows_match_the_oracle(capsys, n, convention, oracle, full_basis):
-    # Scored ideals come from vectorised arithmetic on the original a; the
-    # oracle judges them.  Unscored rows print as null (JSON) and "" (CSV).
+    # Scored ideals come from the array oracle on the encoded a; the int
+    # oracles judge them.  Unscored rows print as null (JSON) and "" (CSV).
     argv = ["experiment", "qma3", "--n", str(n), "--shots", "1", "--seed", "4",
             "--ideal-convention", convention] + (["--full-basis"] if full_basis else [])
     assert main(argv) == 0

@@ -479,63 +479,86 @@ def test_cold_parse_reads_each_statement_once_by_the_statement_parser(monkeypatc
 
 
 class _DuckGate:
-    """Has a Gate's fields, so a circuit takes it and exports it."""
+    """Has a Gate's fields; a circuit refuses it."""
 
     def __init__(self, kind, operands):
         self.kind, self.operands = kind, operands
 
 
-@pytest.mark.parametrize("odd", [
-    Gate(GateKind.X, (True,)),
-    Gate(GateKind.CNOT, (1.0, 2)),
-    Gate(GateKind.CNOT, (np.int64(3), np.int64(1))),
-    _DuckGate(GateKind.X, (3,)),
+@pytest.mark.parametrize("make, wires", [
+    (lambda: Gate(GateKind.X, (True,)), (1,)),
+    (lambda: Gate(GateKind.CNOT, (1.0, 2)), None),
+    (lambda: Gate(GateKind.CNOT, (np.int64(3), np.int64(1))), (3, 1)),
+    (lambda: _DuckGate(GateKind.X, (3,)), None),
 ], ids=["bool", "float", "int64", "duck"])
-def test_export_keeps_only_gates_with_int_wires(monkeypatch, odd):
+def test_export_keeps_only_gates_with_int_wires(monkeypatch, make, wires):
+    """A bool or numpy integer wire becomes an int, so its circuit exports,
+    is kept and reads back equal; any other wire or gate is refused where
+    it is made, so nothing of it is exported."""
     monkeypatch.setattr(qasm, "_RECENT", {})
-    text = export_circuit(Circuit(4, (x(0), odd, cnot(0, 1))))
-    assert qasm._RECENT == {}
-    got = _outcome(text)
-    assert got == _fresh(text)
-    if isinstance(got[0], Circuit):
-        assert {type(gate) for gate in got[0].gates} == {Gate}
-        assert {type(w) for gate in got[0].gates for w in gate.operands} == {int}
-    else:
-        assert got[0] is QasmSyntaxError and got[1].startswith("4:1: ")
+    if wires is None:
+        with pytest.raises(QmodaddError):
+            Circuit(4, (x(0), make(), cnot(0, 1)))
+        assert qasm._RECENT == {}
+        return
+    odd = make()
+    assert odd.operands == wires and set(map(type, odd.operands)) == {int}
+    assert odd.statement == odd.kind.template % wires
+    circuit = Circuit(4, (x(0), odd, cnot(0, 1)))
+    text = export_circuit(circuit)
+    assert qasm._RECENT[odd.statement] == (odd, 3)
+    assert qasm._RECENT[odd.statement][0] is odd
+    assert parse_qasm(text) == _fresh(text) == (circuit, None)
 
 
 def test_export_keeps_nothing_of_a_width_that_is_not_an_int(monkeypatch):
     monkeypatch.setattr(qasm, "_RECENT", {})
-    text = export_circuit(Circuit(2.5, (x(2),)))
+    for width in (2.5, np.float64(3), "3", -1, None):
+        with pytest.raises(QmodaddError):
+            Circuit(width, (x(2),))
     assert qasm._RECENT == {}
-    with pytest.raises(WidthMismatch) as err:
-        parse_qasm(text.replace("qubit[2.5]", "qubit[2]"))
-    assert err.value.line == 3
+    circuit = Circuit(np.int64(3), (x(2),))
+    assert type(circuit.width) is int
+    text = export_circuit(circuit)
+    assert text == "OPENQASM 3.0;\nqubit[3] q;\nx q[2];\n"
+    assert list(qasm._RECENT) == ["x q[2];"]
 
 
-def test_export_formats_duck_gates_by_the_template_beside_gates(monkeypatch):
-    monkeypatch.setattr(qasm, "_RECENT", {})
-    gates = (x(0), _DuckGate(GateKind.TOFFOLI, (0, 1, 3)), cnot(2, 1),
-             Gate(GateKind.X, (True,)), _DuckGate(GateKind.RESET, (2,)), x(0))
-    body = "".join(gate.kind.template % gate.operands + "\n" for gate in gates)
-    assert export_circuit(Circuit(4, gates)) == "OPENQASM 3.0;\nqubit[4] q;\n" + body
-    assert qasm._RECENT == {}
-
-
-@given(st.sampled_from(list(GateKind)), st.booleans(), st.data())
+@given(st.sampled_from(list(GateKind)), st.data())
 @settings(max_examples=200, deadline=None)
-def test_statement_is_the_kinds_template_filled_once(kind, exact, data):
+def test_statement_is_the_kinds_template_filled_once(kind, data):
     wires = data.draw(st.lists(st.integers(0, 300), min_size=kind.arity,
                                max_size=kind.arity, unique=True))
-    types = [int] * kind.arity if exact else data.draw(st.lists(
-        st.sampled_from([int, float, np.int64, bool]), min_size=kind.arity,
-        max_size=kind.arity))
+    types = data.draw(st.lists(st.sampled_from([int, np.int64, bool]),
+                               min_size=kind.arity, max_size=kind.arity))
     # bool only for 0 and 1, so the wires stay distinct
     operands = tuple(t(w) if t is not bool or w < 2 else w for t, w in zip(types, wires))
     gate = Gate(kind, operands)
-    assert gate.statement == kind.template % gate.operands
-    assert gate == Gate(kind, tuple(map(int, operands)))
+    assert gate.operands == tuple(wires) and set(map(type, gate.operands)) == {int}
+    assert gate.statement == kind.template % tuple(wires)
+    assert gate == Gate(kind, tuple(wires))
     assert "statement" not in repr(gate)
-    if exact:
-        text = f"OPENQASM 3.0;\nqubit[{max(wires) + 1}] q;\n" + gate.statement
-        assert parse_qasm(text)[0].gates == (gate,)
+    text = f"OPENQASM 3.0;\nqubit[{max(wires) + 1}] q;\n" + gate.statement
+    assert parse_qasm(text)[0].gates == (gate,)
+
+
+@st.composite
+def _circuits(draw):
+    """Circuits as `Circuit` takes them, with ints or numpy integers as the
+    width and the wires."""
+    integer = st.sampled_from([int, np.int64, np.uint8])
+    width = draw(st.integers(0, 12))
+    kinds = [kind for kind in GateKind if kind.arity <= width]
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=20)) if kinds else ():
+        wires = draw(st.lists(st.integers(0, width - 1), min_size=kind.arity,
+                              max_size=kind.arity, unique=True))
+        gates.append(Gate(kind, [draw(integer)(w) for w in wires]))
+    return Circuit(draw(integer)(width), gates)
+
+
+@given(_circuits())
+@settings(max_examples=200, deadline=None)
+def test_every_circuit_exports_to_text_that_reads_back_equal(circuit):
+    text = export_circuit(circuit)
+    assert parse_qasm(text) == _fresh(text) == (circuit, None)

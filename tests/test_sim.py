@@ -14,7 +14,7 @@ from qmodadd.circuits import (
 )
 from qmodadd.errors import (
     DomainError, EmptyInput, InvalidProbability, InvalidShots, LengthMismatch,
-    UnknownOption,
+    QmodaddError, UnknownOption,
 )
 from qmodadd.sim import (
     DEFAULT_NOISE,
@@ -197,6 +197,22 @@ def test_seed_determinism():
     c = run_noisy(built.circuit, bits, noise, 500, seed=43,
                   readout=list(built.layout.mod_wires))
     assert a != c
+
+
+def test_readout_wires_are_integers_as_gate_wires_are():
+    built = build_qma(AdderVariant.QMA3, 2)
+    bits = built.encode(3, 2)
+    mod_wires = list(built.layout.mod_wires)
+    noise = NoiseModel(p_idle=0.05)
+    for readout in ([0.0], ["1"], [np.float64(1)], 1.0):
+        with pytest.raises(QmodaddError):
+            run_noisy(built.circuit, bits, noise, 50, seed=3, readout=readout)
+    # A bool reads as its int, as a bool wire does in a Gate.
+    assert (run_noisy(built.circuit, bits, noise, 50, seed=3, readout=[True])
+            == run_noisy(built.circuit, bits, noise, 50, seed=3, readout=[1]))
+    want = run_noisy(built.circuit, bits, noise, 50, seed=3, readout=mod_wires)
+    assert run_noisy(built.circuit, bits, noise, 50, seed=3,
+                     readout=np.array(mod_wires)) == want
 
 
 def test_run_noisy_validation():
