@@ -166,7 +166,7 @@ def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
 
 
 def depth_by_kind(circuit: Circuit, kind: GateKind) -> int:
-    """Depth of the subcircuit keeping only gates of `kind`."""
+    """Depth of the subcircuit keeping only gates of `kind`, a `GateKind`."""
     return _walk(circuit, kind, kind)[1]
 
 
@@ -179,15 +179,18 @@ def path_depth(circuit: Circuit, kind: GateKind) -> int:
 
 def total_depth(circuit: Circuit) -> int:
     """ASAP layer count of the whole circuit: its longest dependency path."""
-    return _walk(circuit, None, None)[3]
+    return analyze(circuit).total_depth
 
 
 def _walk(
-    circuit: Circuit, path_kind: GateKind | None, layer_kind: GateKind | None
+    circuit: Circuit, path_kind: GateKind, layer_kind: GateKind
 ) -> tuple[dict[GateKind, int], int, int, int]:
     """Every resource tally of `circuit` from one pass over its gates:
     (count of each kind, depth of the `layer_kind`-only subcircuit, most
     `path_kind` gates on one dependency path, total depth)."""
+    for kind in (path_kind, layer_kind):
+        if type(kind) is not GateKind:
+            raise UnknownOption(f"gate kind {kind!r} is not a GateKind")
     counts = dict.fromkeys(GateKind, 0)
     total = [0] * circuit.width  # wire -> longest path ending on it so far
     path = [0] * circuit.width  # wire -> most path_kind gates on such a path

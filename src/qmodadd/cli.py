@@ -25,7 +25,7 @@ from .builders import AdderVariant, BuiltAdder, build_qma, decode
 from .circuits import analyze, compare
 from .errors import QmodaddError
 from .metrics import run_sweep
-from .oracle import mod_add_plus_one
+from .oracle import mod_add_plus_one, spec_planes
 from .qasm import MAX_WIDTH, export_qasm, parse_qasm
 from .sim import DEFAULT_NOISE, ENGINE, RNG_SCHEME, NoiseModel, run_exact
 
@@ -44,7 +44,7 @@ _META = {"version": __version__, "engine": ENGINE, "rng": RNG_SCHEME}
 _NOISE_KEYS = {"x": "p_x", "cnot": "p_cnot", "toffoli": "p_toffoli",
                "idle": "p_idle", "delta": "delta_reset"}
 
-#: Inputs per `run_exact` call in `verify`; more lanes cost peak memory.
+#: Fewest inputs per `run_exact` call in `verify`; more lanes cost peak memory.
 _VERIFY_LANES = 1024
 
 #: Most work per adder, inputs x shots x gates, that `experiment` or
@@ -58,8 +58,8 @@ MAX_WORK = 10**10
 #: a larger run exits 2 before it starts.  It admits n <= 9, or n <= 8
 #: under `--full-basis`.  Every adder's rows are held as integer arrays,
 #: but only one adder's rows exist as Python lists while they are written,
-#: so the bound is per adder and not per run.  `verify` checks its inputs
-#: in chunks and has no such bound.
+#: so the bound is per adder and not per run.  `verify` holds a few rows
+#: of a at a time, as bit planes, and has no such bound.
 MAX_ROWS = 2**19
 
 
@@ -319,8 +319,7 @@ def cmd_verify(args) -> int:
     else:
         raise QmodaddError("verify needs --n LO..HI or --qasm FILE")
     for label, built in adders:
-        failure = _check_adder(built)
-        if failure:
+        if failure := _check_adder(built):
             a, b, want, got = failure
             print(f"FAIL {label} a={a} b={b}: expected {want}, got {got}")
             return EXIT_VERIFY
@@ -329,72 +328,37 @@ def cmd_verify(args) -> int:
 
 
 def _check_adder(built) -> tuple | None:
-    """First failing (a, b, want, got) in a-major order, or None.  Each
-    chunk of `_lane_chunks` runs as one bit plane per wire and is checked
-    plane by plane; only its first failing lane is read back as ints, mod
-    before sum."""
-    layout = built.layout
-    for start, stop, a_planes, b_planes, mods, sums in _lane_chunks(layout.n, _VERIFY_LANES):
-        bits = [0] * built.circuit.width
-        for wires, planes in ((layout.a_wires, a_planes), (layout.b_wires, b_planes)):
-            for wire, plane in zip(wires, planes):
-                bits[wire] = plane
-        out = run_exact(built.circuit, bits, one=-1)
+    """First failing (a, b, want, got) in a-major order, or None.  A run
+    holds whole rows of a, the fewest with `_VERIFY_LANES` pairs or more,
+    as one bit plane per wire whose bit r(2^n + 1) + b is (first + r, b);
+    its first lane unlike `spec_planes` is read back, mod before sum."""
+    layout, circuit, n = built.layout, built.circuit, built.n
+    side, bits = (1 << n) + 1, [0] * circuit.width
+    rows, row = -(-_VERIFY_LANES // side), (1 << side) - 1
+    heads = sum(1 << r * side for r in range(rows))  # one set bit per row
+    b_planes = [heads * sum(((b >> i) & 1) << b for b in range(side)) for i in range(n + 1)]
+    for first in range(0, side, rows):
+        a_planes = [row * sum(1 << r * side for r in range(rows) if (first + r) >> i & 1)
+                    for i in range(n + 1)]
+        for wire, plane in zip(layout.a_wires + layout.b_wires, a_planes + b_planes):
+            bits[wire] = plane
+        out = run_exact(circuit, bits, one=-1)
         failed = 0
-        for wires, planes in ((layout.mod_wires, mods), (layout.sum_wires, sums)):
+        for wires, planes in zip((layout.mod_wires, layout.sum_wires),
+                                 spec_planes(n, a_planes, b_planes)):
             # A plane past the wires must be 0, a wire past the planes too.
             for wire, plane in itertools.zip_longest(wires, planes):
                 failed |= (0 if wire is None else out[wire]) ^ (plane or 0)
-        failed &= (1 << (stop - start)) - 1
+        failed &= (1 << min(rows, side - first) * side) - 1  # this run's own rows
         if failed:
             lane = (failed & -failed).bit_length() - 1
-            a, b = divmod(start + lane, (1 << layout.n) + 1)
+            a, b = first + lane // side, lane % side
             lane_bits = [(plane >> lane) & 1 for plane in out]
             got = decode(lane_bits, layout.mod_wires)
-            if got != (want := mod_add_plus_one(layout.n, a, b)):
+            if got != (want := mod_add_plus_one(n, a, b)):
                 return a, b, want, got
             return a, b, a + b, decode(lane_bits, layout.sum_wires)
     return None
-
-
-def _lane_chunks(n: int, lanes: int):
-    """The pairs of [0, 2^n]^2 in a-major order, `lanes` at a time, as bit
-    planes: yields (start, stop, a, b, mod, sum), where bit L - start of
-    each plane is lane L, the pair (a, b) = divmod(L, 2^n + 1), and mod
-    and sum are the planes of (a + b + 1) mod (2^n + 1) and a + b, least
-    significant first.  Bits past stop - start may be anything."""
-    side = (1 << n) + 1
-    pairs = side * side
-    row = (1 << side) - 1
-    # Bit b of b_row[i] is bit i of b: one row of each b plane.
-    b_row = [sum(((b >> i) & 1) << b for b in range(side)) for i in range(n + 1)]
-    # The n + 2 low bits of -(2^n + 1), as constant planes.
-    minus_side = [-((-side >> i) & 1) for i in range(n + 2)]
-    for start in range(0, pairs, lanes):
-        stop = min(start + lanes, pairs)
-        rows = range(start // side, (stop - 1) // side + 1)
-        skip = start - rows[0] * side
-        # One set bit where each row of the chunk starts, counted from rows[0].
-        heads = sum(1 << (a - rows[0]) * side for a in rows)
-        a_planes = [
-            row * sum(1 << (a - rows[0]) * side for a in rows if (a >> i) & 1) >> skip
-            for i in range(n + 1)
-        ]
-        b_planes = [pattern * heads >> skip for pattern in b_row]
-        plus_one = _ripple(a_planes, b_planes, -1)
-        *less, wraps = _ripple(plus_one, minus_side, 0)  # wraps: a + b + 1 >= 2^n + 1
-        mods = [t ^ ((t ^ d) & wraps) for t, d in zip(plus_one, less)]
-        yield start, stop, a_planes, b_planes, mods, _ripple(a_planes, b_planes, 0)
-
-
-def _ripple(xs: list[int], ys: list[int], carry: int) -> list[int]:
-    """Bit planes of xs + ys + carry, lane by lane, least significant
-    first and one plane longer than xs: the last is the carry out."""
-    out = []
-    for x, y in zip(xs, ys):
-        out.append(x ^ y ^ carry)
-        carry = (x & y) | (carry & (x ^ y))
-    return out + [carry]
 
 
 def _load_qasm(path: str) -> BuiltAdder:

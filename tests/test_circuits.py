@@ -151,6 +151,15 @@ def test_depth_by_kind_absent_kind_is_zero():
     assert depth_by_kind(circuit, GateKind.TOFFOLI) == 0
 
 
+def test_depth_of_a_kind_that_is_not_a_gate_kind_is_refused():
+    # A string never matches a kind, so it used to read as depth 0.
+    circuit = build_qma(AdderVariant.QMA2, 4).circuit
+    assert depth_by_kind(circuit, GateKind.CNOT) == path_depth(circuit, GateKind.TOFFOLI) == 14
+    for depth, kind in ((depth_by_kind, "cx"), (path_depth, "ccx"), (depth_by_kind, None)):
+        with pytest.raises(UnknownOption, match="is not a GateKind"):
+            depth(circuit, kind)
+
+
 def test_depth_by_kind_filters_before_layering():
     # The X between the CNOTs does not force them apart once filtered out.
     circuit = Circuit(3, (cnot(0, 1), x(2), cnot(0, 2)))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qmodadd
-from qmodadd import circuits, cli
+from qmodadd import circuits, cli, oracle
 from qmodadd.builders import AdderVariant, BuiltAdder, _build_all, build_qma, decode
 from qmodadd.circuits import GateKind, analyze
 from qmodadd.cli import main
@@ -682,26 +682,45 @@ def test_bit_plane_check_agrees_with_one_run_per_pair(monkeypatch, n):
                 built, circuit=dataclasses.replace(built.circuit, gates=gates))
             first = _first_failure(mutant)
             failures += first is not None
-            for lanes in (1, 7, side, 1024):
+            for lanes in (1, 7, side - 1, side, side + 1, 1024):
                 monkeypatch.setattr(cli, "_VERIFY_LANES", lanes)
                 assert cli._check_adder(mutant) == first, (variant, gates, lanes)
     assert failures  # the mutants reach the failure path
 
 
-@pytest.mark.parametrize("lanes", [1, 7, 10, 1024])
-def test_lane_chunks_hold_every_pair_and_its_sums(lanes):
-    for n in range(1, 6):
-        side = (1 << n) + 1
-        seen = 0
-        for start, stop, *planes in cli._lane_chunks(n, lanes):
-            assert start == seen and stop == min(start + lanes, side * side)
-            seen = stop
-            for lane in range(stop - start):
-                a, b, mod, total = (decode([(p >> lane) & 1 for p in group], range(len(group)))
-                                    for group in planes)
-                assert (a, b) == divmod(start + lane, side)
-                assert (mod, total) == (mod_add_plus_one(n, a, b), a + b)
-        assert seen == side * side
+def _pair_lanes(pairs, a_planes, b_planes) -> int:
+    """The lanes whose operand planes hold one of `pairs`: for each pair,
+    the AND over i of each operand plane or its complement."""
+    lanes = 0
+    for a, b in pairs:
+        mask = -1
+        for value, planes in ((a, a_planes), (b, b_planes)):
+            for i, plane in enumerate(planes):
+                mask &= plane if (value >> i) & 1 else ~plane
+        lanes |= mask
+    return lanes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_check_adder_reaches_every_pair_in_a_major_order(monkeypatch, n):
+    # QMA2 is right, so against expected planes flipped at some pairs it
+    # fails at the first of them in a-major order.  Flipping each pair, and
+    # then it with the next, shows that every pair is checked as itself and
+    # that the runs go in a-major order, with one row per run and with more.
+    built = build_qma(AdderVariant.QMA2, n)
+    side = (1 << n) + 1
+    pairs = [divmod(lane, side) for lane in range(side * side)]
+    for index, pair in enumerate(pairs):
+        for flips in (pairs[index:index + 1], pairs[index:index + 2]):
+            def flipped(n, a_planes, b_planes, flips=flips):
+                mods, sums = oracle.spec_planes(n, a_planes, b_planes)
+                mods[0] ^= _pair_lanes(flips, a_planes, b_planes)
+                return mods, sums
+            monkeypatch.setattr(cli, "spec_planes", flipped)
+            for lanes in (1, 7, side - 1, side, side + 1, 1024):
+                monkeypatch.setattr(cli, "_VERIFY_LANES", lanes)
+                # The mod reads back right, so the sum is read back too.
+                assert cli._check_adder(built) == (*pair, sum(pair), sum(pair)), (flips, lanes)
 
 
 def test_verify_all_prints_one_ok_line_per_adder(capsys):
