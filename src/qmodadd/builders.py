@@ -10,7 +10,11 @@ three branches: QMA1's second stage is a full adder, the others use a
 half-adder increment; QMA3 resets and reuses b wires as the result
 register; QMA4 resets each of them twice and shares QMA3's tail after
 the resets.  The full adder builds each distinct gate once and appends
-that one object at every position where it occurs.
+that one object at every position where it occurs; across the variants,
+QMA1's NOR gadget is QMA2's and QMA4 appends each of QMA3's resets
+twice.  `circuits.fork` makes the four circuits: it walks the shared
+first stage once per n and each second stage from there, so every built
+adder carries its `analyze` report from the build.
 
 Wire budget per variant, for operand size n:
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .circuits import Circuit, Gate, cnot, reset, toffoli, x
+from .circuits import Circuit, Gate, cnot, fork, reset, toffoli, x
 from .errors import DuplicateOperand, InvalidN, LengthMismatch
 
 
@@ -213,21 +217,24 @@ def _build_all(n: int) -> dict[AdderVariant, BuiltAdder]:
 
     first = build_full_adder(a, b, carry)
     sums = a + [carry]
+    static_increment = increment(static)
+    nor = static_increment[:5]  # four NOTs around one Toffoli
     tail = increment(reused)
+    resets = list(map(reset, reused))
     seconds = {
         # QMA1's second stage is a full adder with the result register as
         # the receiving side, so the regular sum survives on its own wires.
-        AdderVariant.QMA1: (static, sums + [spill], [
-            *build_nor_gadget(carry, a[n], static[0]),
-            *build_full_adder(static, folded, spill),
-        ]),
-        AdderVariant.QMA2: (static, sums, increment(static)),
-        AdderVariant.QMA3: (reused, sums, [*map(reset, reused), *tail]),
-        AdderVariant.QMA4: (
-            reused, sums, [g for wire in reused for g in [reset(wire)] * 2] + tail),
+        AdderVariant.QMA1: (static, sums + [spill],
+                            [*nor, *build_full_adder(static, folded, spill)]),
+        AdderVariant.QMA2: (static, sums, static_increment),
+        AdderVariant.QMA3: (reused, sums, [*resets, *tail]),
+        AdderVariant.QMA4: (reused, sums, [g for g in resets for _ in range(2)] + tail),
     }
+    # Wires are numbered densely, so the last one is a sum or result wire.
+    circuits = fork(first, [(max(sum_wires + result) + 1, second, variant.value)
+                            for variant, (result, sum_wires, second) in seconds.items()])
     built = {}
-    for variant, (result, sum_wires, second) in seconds.items():
+    for circuit, (variant, (result, sum_wires, _)) in zip(circuits, seconds.items()):
         layout = RegisterLayout(
             n=n,
             a_wires=tuple(a),
@@ -237,9 +244,6 @@ def _build_all(n: int) -> dict[AdderVariant, BuiltAdder]:
             preserved_roles=frozenset(
                 {"sum", "mod"} if result is reused else {"b", "sum", "mod"}),
         )
-        # Wires are numbered densely, so the last one is a sum or result wire.
-        width = max(sum_wires + result) + 1
-        circuit = Circuit(width, (*first, *second), variant.value)
         built[variant] = BuiltAdder(circuit, layout, variant)
     return built
 

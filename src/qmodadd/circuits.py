@@ -20,11 +20,15 @@ comes in two measures, and `analyze` uses one for each kind:
 
 One walk over the gates (`_walk`) gives both measures, the gate counts
 and the total depth; `analyze` takes all four from it, once per circuit,
-which keeps the report.  A `Gate` keeps its QASM statement, formatted once.
+which keeps the report.  `fork` makes circuits that open with the same
+gates: it walks those once, continues each circuit from a copy of that
+walk, and leaves each with its report, so `analyze` walks nothing.  A
+`Gate` keeps its QASM statement, formatted once, and hashes by it.
 """
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
@@ -55,7 +59,7 @@ class GateKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """One operation: kind plus ordered operand wires.
 
@@ -63,29 +67,34 @@ class Gate:
     (control, control, target).  Operands must be pairwise distinct, and
     `operator.index` makes each an exact `int`: a bool or numpy integer
     is taken, a float is not.  `statement`, the filled template, is left
-    out of eq, hash and repr.
+    out of eq and repr; being a function of kind and operands, it is the
+    hash, which a `str` computes once.
     """
 
     kind: GateKind
     operands: tuple[int, ...]
     statement: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        kind = self.kind
+    def __init__(self, kind: GateKind, operands: tuple[int, ...]):
         if type(kind) is not GateKind:
             raise UnknownOption(f"gate kind {kind!r} is not a GateKind")
         try:
-            operands = tuple(map(operator.index, self.operands))
+            wires = tuple(map(operator.index, operands))
         except TypeError:
             raise OperandOutOfRange(
-                f"{kind.name} wires {self.operands!r} are not integers") from None
-        object.__setattr__(self, "operands", operands)
-        if len(operands) != kind.arity:
+                f"{kind.name} wires {operands!r} are not integers") from None
+        if len(wires) != kind.arity:
             raise ArityMismatch(
-                f"{kind.name} takes {kind.arity} operands, got {len(operands)}")
-        if len(set(operands)) != len(operands):
-            raise DuplicateOperand(f"repeated wire in {kind.name}{operands}")
-        object.__setattr__(self, "statement", kind.template % operands)
+                f"{kind.name} takes {kind.arity} operands, got {len(wires)}")
+        if len(set(wires)) != len(wires):
+            raise DuplicateOperand(f"repeated wire in {kind.name}{wires}")
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "operands", wires)
+        setattr_(self, "statement", kind.template % wires)
+
+    def __hash__(self) -> int:
+        return hash(self.statement)
 
 
 def x(wire: int) -> Gate:
@@ -134,17 +143,25 @@ class Circuit:
 
     @cached_property
     def _report(self) -> ResourceReport:
-        """`analyze`'s report, from one `_walk` on first use."""
-        counts, cnot_depth, toffoli_depth, total_depth = _walk(
-            self, GateKind.TOFFOLI, GateKind.CNOT
-        )
-        return ResourceReport(
-            label=self.label, width=self.width, cnot_count=counts[GateKind.CNOT],
-            toffoli_count=counts[GateKind.TOFFOLI], x_count=counts[GateKind.X],
-            reset_count=counts[GateKind.RESET], cnot_depth=cnot_depth,
-            toffoli_depth=toffoli_depth, total_depth=total_depth,
-            fom=self.width * toffoli_depth,
-        )
+        """`analyze`'s report, from one `_walk` on first use unless the
+        circuit was made by `fork`, which keeps it from the start."""
+        return _report_from(self, _walk(self.gates, self.width, GateKind.TOFFOLI, GateKind.CNOT))
+
+
+def fork(first: list[Gate], seconds: list[tuple[int, list[Gate], str]]) -> list[Circuit]:
+    """One `Circuit(width, (*first, *second), label)` per entry of
+    `seconds`, each keeping its report: `first` is walked once, and each
+    second stage from a copy of that walk, which gives the report a walk
+    of the whole circuit would."""
+    circuits = [Circuit(width, (*first, *second), label) for width, second, label in seconds]
+    if not circuits:
+        return circuits
+    kinds = GateKind.TOFFOLI, GateKind.CNOT
+    start = _walk(first, min(c.width for c in circuits), *kinds)
+    for circuit, (_, second, _) in zip(circuits, seconds):
+        vars(circuit)["_report"] = _report_from(
+            circuit, _walk(second, circuit.width, *kinds, start))
+    return circuits
 
 
 def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
@@ -167,14 +184,14 @@ def compute_layering(circuit: Circuit) -> tuple[tuple[int, ...], ...]:
 
 def depth_by_kind(circuit: Circuit, kind: GateKind) -> int:
     """Depth of the subcircuit keeping only gates of `kind`, a `GateKind`."""
-    return _walk(circuit, kind, kind)[1]
+    return max(_walk(circuit.gates, circuit.width, kind, kind)[3], default=0)
 
 
 def path_depth(circuit: Circuit, kind: GateKind) -> int:
     """Largest number of `kind` gates on any path of the dependency DAG,
     which has one node per gate of every kind and an edge from each gate
     to the next gate on each of its wires."""
-    return _walk(circuit, kind, kind)[2]
+    return max(_walk(circuit.gates, circuit.width, kind, kind)[2], default=0)
 
 
 def total_depth(circuit: Circuit) -> int:
@@ -183,19 +200,26 @@ def total_depth(circuit: Circuit) -> int:
 
 
 def _walk(
-    circuit: Circuit, path_kind: GateKind, layer_kind: GateKind
-) -> tuple[dict[GateKind, int], int, int, int]:
-    """Every resource tally of `circuit` from one pass over its gates:
-    (count of each kind, depth of the `layer_kind`-only subcircuit, most
-    `path_kind` gates on one dependency path, total depth)."""
+    gates: Iterable[Gate], width: int, path_kind: GateKind,
+    layer_kind: GateKind, start: tuple | None = None,
+) -> tuple[dict[GateKind, int], list[int], list[int], list[int]]:
+    """Every resource tally of `gates` on `width` wires from one pass:
+    (count of each kind, and per wire the longest dependency path ending
+    on it, the most `path_kind` gates on such a path, and the depth of
+    the `layer_kind`-only subcircuit there).  The pass begins from
+    `start`, such a tally of gates that come before on no more wires,
+    which it copies and leaves unchanged."""
     for kind in (path_kind, layer_kind):
         if type(kind) is not GateKind:
             raise UnknownOption(f"gate kind {kind!r} is not a GateKind")
-    counts = dict.fromkeys(GateKind, 0)
-    total = [0] * circuit.width  # wire -> longest path ending on it so far
-    path = [0] * circuit.width  # wire -> most path_kind gates on such a path
-    layer = [0] * circuit.width  # wire -> depth among layer_kind gates only
-    for gate in circuit.gates:
+    if start is None:
+        counts = dict.fromkeys(GateKind, 0)
+        total, path, layer = [0] * width, [0] * width, [0] * width
+    else:
+        counts = dict(start[0])
+        pad = [0] * (width - len(start[1]))
+        total, path, layer = (wires + pad for wires in start[1:])
+    for gate in gates:
         kind, wires = gate.kind, gate.operands
         counts[kind] += 1
         step = kind is path_kind
@@ -225,7 +249,21 @@ def _walk(
             total[a] += 1
             path[a] += step
             layer[a] += kind is layer_kind
-    return counts, max(layer, default=0), max(path, default=0), max(total, default=0)
+    return counts, total, path, layer
+
+
+def _report_from(circuit: Circuit, tally: tuple) -> ResourceReport:
+    """The report of `circuit` from its `_walk` with Toffoli paths and
+    CNOT layers."""
+    counts, total, path, layer = tally
+    toffoli_depth = max(path, default=0)
+    return ResourceReport(
+        label=circuit.label, width=circuit.width, cnot_count=counts[GateKind.CNOT],
+        toffoli_count=counts[GateKind.TOFFOLI], x_count=counts[GateKind.X],
+        reset_count=counts[GateKind.RESET], cnot_depth=max(layer, default=0),
+        toffoli_depth=toffoli_depth, total_depth=max(total, default=0),
+        fom=circuit.width * toffoli_depth,
+    )
 
 
 @dataclass(frozen=True)

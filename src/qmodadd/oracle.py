@@ -11,10 +11,11 @@ import operator
 from .errors import DomainError, InvalidN, LengthMismatch
 
 
-def _check_instance(n: int, a=0, b=0) -> None:
+def _check_instance(n: int, a=0, b=0, arrays: bool = True) -> None:
     """Raise unless n >= 1 and a and b (0 if not given) lie in [0, 2^n],
     naming the first entry outside.  Each is what `operator.index` takes
-    (int, bool, numpy integer), or a and b are integer-dtype arrays."""
+    (int, bool, numpy integer), or, if `arrays`, a and b are integer-dtype
+    arrays."""
     try:
         if operator.index(n) < 1:
             raise InvalidN(f"n must be >= 1, got {n}")
@@ -25,7 +26,8 @@ def _check_instance(n: int, a=0, b=0) -> None:
         try:
             bad = None if 0 <= operator.index(value) <= limit else value
         except TypeError:
-            if getattr(getattr(value, "dtype", None), "kind", None) not in ("i", "u"):
+            kind = getattr(getattr(value, "dtype", None), "kind", None)
+            if not arrays or kind not in ("i", "u"):
                 raise DomainError(f"{name}={value!r} is not an integer") from None
             outside = (value < 0) | (value > limit)
             bad = value[outside][0] if outside.any() else None
@@ -43,8 +45,9 @@ def mod_add_plus_one(n: int, a, b):
 
 
 def mod_add(n: int, a: int, b: int) -> int:
-    """(a + b) mod (2**n + 1), the plain three-case definition, on ints."""
-    _check_instance(n, a, b)
+    """(a + b) mod (2**n + 1), the plain three-case definition, on ints;
+    an array is refused."""
+    _check_instance(n, a, b, arrays=False)
     modulus = (1 << n) + 1
     total = a + b
     if total < modulus:

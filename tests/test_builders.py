@@ -160,6 +160,14 @@ class TestBuildQma:
         qma3, qma4 = gates[AdderVariant.QMA3][-tail:], gates[AdderVariant.QMA4][-tail:]
         assert all(map(operator.is_, qma3, qma4))
         assert GateKind.RESET not in {gate.kind for gate in qma3}
+        # QMA1's NOR gadget is QMA2's, and QMA4 appends each of QMA3's resets twice.
+        nor = gates[AdderVariant.QMA1][stage:stage + 5]
+        assert [gate.kind.name for gate in nor] == ["X", "X", "TOFFOLI", "X", "X"]
+        assert all(map(operator.is_, nor, gates[AdderVariant.QMA2][stage:stage + 5]))
+        resets = gates[AdderVariant.QMA3][stage:stage + n + 1]
+        assert {gate.kind for gate in resets} == {GateKind.RESET}
+        doubled = gates[AdderVariant.QMA4][stage:stage + 2 * (n + 1)]
+        assert all(map(operator.is_, doubled, [g for g in resets for g in (g, g)]))
 
     def test_repeated_build_is_one_shared_value(self):
         assert build_qma(AdderVariant.QMA2, 3) is build_qma(AdderVariant.QMA2, 3)

@@ -14,6 +14,7 @@ from qmodadd.circuits import (
     cnot,
     compute_layering,
     depth_by_kind,
+    fork,
     path_depth,
     reset,
     toffoli,
@@ -45,7 +46,8 @@ def test_gate_is_a_frozen_value():
     with pytest.raises(dataclasses.FrozenInstanceError):
         gate.kind = GateKind.X
     assert gate == cnot(0, 1)
-    assert hash(gate) == hash(cnot(0, 1))
+    assert hash(gate) == hash(cnot(0, 1)) == hash("cx q[0], q[1];")
+    assert hash(Gate(GateKind.X, (True,))) == hash(x(1))
     assert len({gate, cnot(0, 1), Gate(GateKind.CNOT, (1, 0))}) == 2
     with pytest.raises(ArityMismatch):
         Gate(GateKind.TOFFOLI, [0, 1])
@@ -256,6 +258,38 @@ def _assert_one_walk_agrees(circuit):
 def test_analyze_agrees_with_the_views_on_every_adder(variant):
     for n in range(1, 13):
         _assert_one_walk_agrees(build_qma(variant, n).circuit)
+
+
+@pytest.mark.parametrize("n", [*range(13, 25), 48, 96])
+def test_kept_report_of_every_adder_is_a_whole_circuit_walk(n):
+    # The build keeps each report from one fold of the shared first stage;
+    # _assert_one_walk_agrees covers n <= 12 against brute force.
+    for variant in AdderVariant:
+        circuit = build_qma(variant, n).circuit
+        report = analyze(circuit)
+        counts = [sum(gate.kind is kind for gate in circuit.gates) for kind in GateKind]
+        assert [report.x_count, report.cnot_count, report.toffoli_count,
+                report.reset_count] == counts
+        assert report.cnot_depth == depth_by_kind(circuit, GateKind.CNOT)
+        assert report.toffoli_depth == path_depth(circuit, GateKind.TOFFOLI)
+        assert report.total_depth == len(compute_layering(circuit))
+        assert report.fom == circuit.width * report.toffoli_depth
+
+
+@given(st.lists(_random_gate(tuple(GateKind)), max_size=15),
+       st.lists(st.tuples(st.integers(min_value=6, max_value=8),
+                          st.lists(_random_gate(tuple(GateKind)), max_size=15)),
+                max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_fork_keeps_the_report_of_a_whole_walk(first, seconds):
+    labels = [f"c{i}" for i in range(len(seconds))]
+    forked = fork(first, [(width, second, label)
+                          for (width, second), label in zip(seconds, labels)])
+    assert len(forked) == len(seconds)
+    for circuit, (width, second), label in zip(forked, seconds, labels):
+        fresh = Circuit(width, (*first, *second), label)
+        assert circuit == fresh
+        assert vars(circuit)["_report"] == analyze(fresh)
 
 
 @given(reset_free_circuits())

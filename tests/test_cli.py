@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import qmodadd
 from qmodadd import circuits, cli, oracle
-from qmodadd.builders import AdderVariant, BuiltAdder, _build_all, build_qma, decode
+from qmodadd.builders import (AdderVariant, BuiltAdder, _build_all, build_full_adder, build_qma,
+                               decode)
 from qmodadd.circuits import GateKind, analyze
 from qmodadd.cli import main
 from qmodadd.errors import QmodaddError
@@ -402,15 +403,20 @@ def test_golden_cli_digest(capsys):
 
 
 def test_analyze_then_build_walk_each_adder_once(capsys, monkeypatch):
+    # The build folds the shared first stage once and each adder's second
+    # stage from it; every later analyze or build walks nothing.
     walked = []
     walk = circuits._walk
-    monkeypatch.setattr(circuits, "_walk", lambda *args: walked.append(args[0]) or walk(*args))
+    monkeypatch.setattr(circuits, "_walk", lambda *args: walked.append(len(args[0])) or walk(*args))
     _build_all.cache_clear()
     assert run_cli(capsys, "analyze", "--all", "--n", "5", "--format", "json")[0] == 0
+    first = len(build_full_adder(list(range(6)), list(range(6, 12)), 12))
+    folds = [first] + [len(build_qma(v, 5).circuit.gates) - first for v in AdderVariant]
+    assert walked == folds
     for variant in AdderVariant:
         assert run_cli(capsys, "build", variant.value, "--n", "5")[0] == 0
     assert run_cli(capsys, "analyze", "--all", "--n", "5", "--format", "table")[0] == 0
-    assert len(walked) == len(set(map(id, walked))) == 4
+    assert walked == folds
 
 
 @pytest.mark.parametrize("variant", list(AdderVariant))

@@ -75,6 +75,13 @@ def test_non_integers_are_refused(value):
         mod_add(2.0, 1, 1)
 
 
+@pytest.mark.parametrize("a,b", [(np.array([1, 2]), 1), (1, np.array([1, 2])),
+                                 (np.array([1]), 1), (np.array([[1]]), np.array([1]))])
+def test_mod_add_refuses_arrays(a, b):
+    with pytest.raises(DomainError, match="is not an integer"):
+        mod_add(2, a, b)
+
+
 def test_bools_numpy_ints_and_integer_arrays_keep_their_results():
     assert mod_add_plus_one(2, True, 1) == 3
     assert mod_add(2, True, 1) == 2
